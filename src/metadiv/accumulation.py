@@ -2,17 +2,19 @@
 
 A curve records a statistic of the first ``n`` events at a series of
 checkpoints: the number of distinct labels seen (vocabulary growth) or the
-Hill diversity of the running frequency distribution.  Counts are maintained
-incrementally in a single pass; the diversity sum is recomputed from the
-per-class counts only at checkpoints.
+Hill diversity of the running frequency distribution.  One pass interns the
+labels and adds their ids into a dense count vector at each checkpoint, so
+memory grows with the number of types, not with the stream.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+from collections import defaultdict
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
+from itertools import count, islice
 
 import numpy as np
 
@@ -134,14 +136,10 @@ class AccumulationCurve:
         """
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        if self.years is None:
-            writer.writerow(["n", "value"])
-            for n, v in self.points:
-                writer.writerow([n, _format_value(self.statistic, v)])
-        else:
-            writer.writerow(["n", "value", "year"])
-            for (n, v), year in zip(self.points, self.years):
-                writer.writerow([n, _format_value(self.statistic, v), year])
+        writer.writerow(["n", "value"] if self.years is None else ["n", "value", "year"])
+        for i, (n, v) in enumerate(self.points):
+            value = str(int(v)) if self.statistic == "type-count" else f"{v:.4f}"
+            writer.writerow([n, value] if self.years is None else [n, value, self.years[i]])
         return buf.getvalue()
 
     def write_csv(self, path) -> None:
@@ -150,7 +148,10 @@ class AccumulationCurve:
 
     @classmethod
     def from_csv(cls, source) -> AccumulationCurve:
-        """Parse a ``n,value[,year]`` CSV (path or file-like)."""
+        """Parse a ``n,value[,year]`` CSV (path or file-like).
+
+        A curve whose values are all integers is read back as a type count.
+        """
         if hasattr(source, "read"):
             rows = list(csv.reader(source))
         else:
@@ -160,47 +161,61 @@ class AccumulationCurve:
         if not rows or rows[0][:2] != ["n", "value"]:
             raise ValueError("curve CSV must start with an 'n,value[,year]' header")
         has_year = len(rows[0]) >= 3 and rows[0][2] == "year"
-        points = []
-        years = []
-        for r in rows[1:]:
-            points.append((int(r[0]), float(r[1])))
-            if has_year:
-                years.append(int(r[2]))
+        points = tuple((int(r[0]), float(r[1])) for r in rows[1:])
+        # ``to_csv`` writes type counts, and only them, as bare integers.
+        counted = bool(points) and all(r[1].isdigit() for r in rows[1:])
         return cls(
-            points=tuple(points),
-            statistic="diversity",
-            years=tuple(years) if has_year else None,
+            points=points,
+            statistic="type-count" if counted else "diversity",
+            years=tuple(int(r[2]) for r in rows[1:]) if has_year else None,
         )
 
 
-def _format_value(statistic: str, value: float) -> str:
-    if statistic == "type-count":
-        return str(int(value))
-    return f"{value:.4f}"
+_FLUSH_EVENTS = 4096  # ids reach the counts at least this often: O(types) memory
 
 
-def vocabulary_growth(
-    events: Iterable[str], schedule: CheckpointSchedule
-) -> AccumulationCurve:
+def _growth(
+    events: Iterable[str], schedule: CheckpointSchedule, order: float | None
+) -> tuple[tuple[int, float], ...]:
+    """(n, value) checkpoints of the type count (``order`` None) or Hill diversity.
+
+    Labels get ids in first-seen order, so ``counts[:R]`` lists the per-type
+    counts as a label -> count dict iterates them: the Hill sum adds the same
+    terms in the same order as a from-scratch count of the prefix.  The final
+    checkpoint at the stream end is always included.
+    """
+    ids: defaultdict[str, int] = defaultdict(count().__next__)  # a new label gets the next id
+    stream = iter(events)
+    counts = np.zeros(0)
+    points: list[tuple[int, float]] = []
+    positions = schedule.positions()
+    target = next(positions, None)
+    n = 0
+    while True:
+        stop = n + _FLUSH_EVENTS if target is None else min(target, n + _FLUSH_EVENTS)
+        chunk = list(map(ids.__getitem__, islice(stream, stop - n)))
+        n += len(chunk)
+        r = len(ids)
+        if order is not None:  # a type count needs no per-type counts
+            if r > counts.size:
+                counts = np.concatenate((counts, np.zeros(r)))
+            np.add.at(counts, np.array(chunk, dtype=np.intp), 1.0)
+        ended = n < stop
+        if n == target or (ended and n > 0 and (not points or points[-1][0] != n)):
+            value = float(r) if order is None else hill_from_probabilities(counts[:r] / n, order)
+            points.append((n, value))
+            target = next(positions, None)
+        if ended:
+            return tuple(points)
+
+
+def vocabulary_growth(events: Iterable[str], schedule: CheckpointSchedule) -> AccumulationCurve:
     """Number of distinct labels among the first n events, per checkpoint.
 
     The final checkpoint at the stream end is always included.  An empty
     stream yields an empty curve.
     """
-    seen: set[str] = set()
-    points: list[tuple[int, float]] = []
-    positions = schedule.positions()
-    target = next(positions, None)
-    n = 0
-    for label in events:
-        n += 1
-        seen.add(label)
-        while target is not None and target == n:
-            points.append((n, float(len(seen))))
-            target = next(positions, None)
-    if n > 0 and (not points or points[-1][0] != n):
-        points.append((n, float(len(seen))))
-    return AccumulationCurve(points=tuple(points), statistic="type-count", order=None)
+    return AccumulationCurve(_growth(events, schedule, None), statistic="type-count")
 
 
 def diversity_growth(
@@ -208,22 +223,4 @@ def diversity_growth(
 ) -> AccumulationCurve:
     """Hill diversity of the first n events, per checkpoint, in one pass."""
     order = _check_order(order)
-    counts: dict[str, int] = {}
-    points: list[tuple[int, float]] = []
-    positions = schedule.positions()
-    target = next(positions, None)
-    n = 0
-
-    def value() -> float:
-        arr = np.fromiter(counts.values(), dtype=float, count=len(counts))
-        return hill_from_probabilities(arr / n, order)
-
-    for label in events:
-        n += 1
-        counts[label] = counts.get(label, 0) + 1
-        while target is not None and target == n:
-            points.append((n, value()))
-            target = next(positions, None)
-    if n > 0 and (not points or points[-1][0] != n):
-        points.append((n, value()))
-    return AccumulationCurve(points=tuple(points), statistic="diversity", order=order)
+    return AccumulationCurve(_growth(events, schedule, order), statistic="diversity", order=order)

@@ -124,7 +124,7 @@ def lexical_report(
     return LexicalReport(
         source_id=doc.source_id,
         n_tokens=len(doc),
-        n_types=len(set(doc.tokens)),
+        n_types=int(vocab.points[-1][1]),
         order=order,
         observed_diversity=div.points[-1][1],
         power_law=power,

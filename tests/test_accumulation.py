@@ -3,17 +3,68 @@
 from __future__ import annotations
 
 import io
+import itertools
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from metadiv import accumulation
 from metadiv.accumulation import (
     AccumulationCurve,
     CheckpointSchedule,
     diversity_growth,
     vocabulary_growth,
 )
-from metadiv.diversity import FrequencyDistribution, hill_diversity
+from metadiv.diversity import FrequencyDistribution, hill_diversity, hill_from_probabilities
+
+
+def from_scratch(events, schedule, order):
+    """Reference curve: count every checkpoint's prefix afresh in a dict.
+
+    ``order`` None gives the type count, otherwise the Hill diversity of the
+    counts in first-seen order.
+    """
+    ns = list(itertools.takewhile(lambda p: p <= len(events), schedule.positions()))
+    if events and (not ns or ns[-1] != len(events)):
+        ns.append(len(events))
+    points = []
+    for n in ns:
+        counts: dict[str, int] = {}
+        for label in events[:n]:
+            counts[label] = counts.get(label, 0) + 1
+        if order is None:
+            points.append((n, float(len(counts))))
+        else:
+            p = np.fromiter(counts.values(), dtype=float, count=len(counts)) / n
+            points.append((n, hill_from_probabilities(p, order)))
+    return tuple(points)
+
+
+streams = st.one_of(
+    st.just([]),
+    st.integers(1, 60).map(lambda k: ["x"] * k),
+    st.integers(1, 60).map(lambda k: [f"t{i}" for i in range(k)]),
+    st.lists(st.sampled_from("abcdefghijklmnop"), max_size=200),
+)
+
+
+@st.composite
+def stream_and_schedule(draw):
+    events = draw(streams)
+    kind = draw(st.sampled_from(["every", "logarithmic", "explicit"]))
+    if kind == "every":
+        return events, CheckpointSchedule.every(draw(st.integers(1, 30)))
+    if kind == "logarithmic":
+        return events, CheckpointSchedule.logarithmic(draw(st.integers(1, 20)))
+    # Explicit points may lie past the end of the stream or exactly on it.
+    points = draw(st.sets(st.integers(1, len(events) + 20), max_size=12))
+    if events and draw(st.booleans()):
+        points.add(len(events))
+    return events, CheckpointSchedule.explicit(sorted(points))
 
 
 class TestSchedules:
@@ -108,13 +159,47 @@ class TestDiversityGrowth:
         curve = diversity_growth(events, CheckpointSchedule.every(97), order=order)
         for n, value in curve.points[:: max(1, len(curve) // 20)]:
             prefix = FrequencyDistribution.from_events(events[:n])
-            assert value == pytest.approx(hill_diversity(prefix, order), rel=1e-12)
+            assert value == hill_diversity(prefix, order)
 
     def test_deterministic(self):
         events = list("the quick brown fox jumps over the lazy dog" * 20)
         a = diversity_growth(events, CheckpointSchedule.every(50), order=1.0)
         b = diversity_growth(events, CheckpointSchedule.every(50), order=1.0)
         assert a == b
+
+
+class TestGrowthKernel:
+    @settings(max_examples=300)
+    @given(
+        stream_and_schedule(),
+        st.sampled_from([None, 0.0, 0.5, 1.0, 2.0, 3.7]),
+        st.sampled_from([1, 3, 4096]),
+    )
+    def test_equals_from_scratch_oracle(self, case, order, flush_events):
+        """Bit-identical to the oracle, whatever the schedule and buffer size."""
+        events, schedule = case
+        with mock.patch.object(accumulation, "_FLUSH_EVENTS", flush_events):
+            if order is None:
+                curve = vocabulary_growth(iter(events), schedule)
+            else:
+                curve = diversity_growth(iter(events), schedule, order)
+        assert curve.points == from_scratch(events, schedule, order)
+
+    @pytest.mark.parametrize("grow", [vocabulary_growth, diversity_growth])
+    def test_memory_independent_of_stream_length(self, grow):
+        labels = [f"w{i}" for i in range(1000)]
+
+        def peak(n_events: int) -> int:
+            events = itertools.islice(itertools.cycle(labels), n_events)
+            tracemalloc.start()
+            try:
+                grow(events, CheckpointSchedule.logarithmic(20))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(100_000), peak(1_000_000)
+        assert large <= small + 16 * 1024
 
 
 class TestCurveContainer:
@@ -142,6 +227,17 @@ class TestCurveContainer:
         assert text.splitlines()[0] == "n,value,year"
         parsed = AccumulationCurve.from_csv(io.StringIO(text))
         assert parsed.years == (2001, 2002)
+
+    @pytest.mark.parametrize("statistic", ["type-count", "diversity"])
+    @pytest.mark.parametrize("years", [None, (2001, 2002, 2005)])
+    def test_csv_round_trip_keeps_statistic(self, statistic, years):
+        curve = AccumulationCurve(
+            points=((2, 1.0), (3, 2.0), (7, 3.0)), statistic=statistic, years=years
+        )
+        text = curve.to_csv()
+        parsed = AccumulationCurve.from_csv(io.StringIO(text))
+        assert parsed.statistic == statistic
+        assert parsed.to_csv() == text
 
     def test_type_counts_serialized_as_integers(self):
         curve = vocabulary_growth("aabbcc", CheckpointSchedule.every(2))
