@@ -177,6 +177,8 @@ def _run_marc(args, transport) -> int:
         "skipped": stream.skipped,
         "missing_year": series.missing_year,
         "mu": round(series.mu, 4),
+        "structured_headings": series.structured_headings,
+        "split_headings": series.split_headings,
     }
     sys.stderr.write(json.dumps(quality) + "\n")
     return EXIT_OK

@@ -222,6 +222,11 @@ class RecordStream(Iterator[MarcView]):
                         self.records += 1
                         yield view
                     elem.clear()
+            except ElementTree.ParseError as exc:
+                # ParseError is a SyntaxError; callers handle malformed input
+                # as ValueError.
+                name = getattr(source, "name", "<stream>") if handle is source else source
+                raise ValueError(f"{name}: malformed MARCXML: {exc}") from exc
             finally:
                 if handle is not source:
                     handle.close()
@@ -293,12 +298,11 @@ def facet_series(
     structured = 0
     split = 0
     for view in records:
-        if facet != "authors":
-            for h in view.headings:
-                if h.structured:
-                    structured += 1
-                else:
-                    split += 1
+        for h in view.headings:
+            if h.structured:
+                structured += 1
+            else:
+                split += 1
         if view.entry_year is None:
             missing += 1
             continue

@@ -82,12 +82,20 @@ def tokenize(text: str, source_id: str = "") -> TokenStream:
 
     Tokens must contain at least one letter (bare numbers and punctuation
     runs are dropped); internal apostrophes and hyphens are preserved.
+    Equal tokens are one ``str`` object.
     """
-    tokens = tuple(
-        m.group(0).casefold()
-        for m in _TOKEN_RE.finditer(text)
-        if _LETTER_RE.search(m.group(0))
-    )
+    words = _TOKEN_RE.findall(text)
+    # The letter test and casefold run once per distinct word; a dropped
+    # word maps to None (a folded word is never empty).
+    fold: dict[str, str | None] = {}
+    interned: dict[str, str] = {}
+    for word in set(words):
+        if _LETTER_RE.search(word):
+            token = word.casefold()
+            fold[word] = interned.setdefault(token, token)
+        else:
+            fold[word] = None
+    tokens = tuple(filter(None, map(fold.__getitem__, words)))
     return TokenStream(tokens=tokens, source_id=source_id)
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from metadiv import cli
+from metadiv import cli, lod
 from metadiv.models import ModelKind, eval_model
 
 from .conftest import PEOPLE_GRAPH, FlakyTransport, GraphTransport, marc_collection, marc_record
@@ -176,7 +176,14 @@ class TestMarc:
             "2002,2,1.8899\n"
         )
         quality = json.loads(err)
-        assert quality == {"records": 3, "skipped": 0, "missing_year": 0, "mu": 1.5}
+        assert quality == {
+            "records": 3,
+            "skipped": 0,
+            "missing_year": 0,
+            "mu": 1.5,
+            "structured_headings": 2,
+            "split_headings": 1,
+        }
         check_golden("marc_subjects.csv", out)
 
     def test_subdivision_facet(self, marc_file, capsys):
@@ -189,9 +196,21 @@ class TestMarc:
         check_golden("marc_subdivisions.csv", out)
 
     def test_authors_facet(self, marc_file, capsys):
-        code, out, _ = run_twice(["marc", marc_file, "--facet", "authors"], capsys)
+        code, out, err = run_twice(["marc", marc_file, "--facet", "authors"], capsys)
         assert code == cli.EXIT_OK
         check_golden("marc_authors.csv", out)
+        # heading counts do not depend on the facet asked for
+        quality = json.loads(err)
+        assert (quality["structured_headings"], quality["split_headings"]) == (2, 1)
+
+    def test_truncated_collection_exits_one(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "truncated.xml").write_bytes(MARC_FIXTURE[: len(MARC_FIXTURE) // 2])
+        assert cli.main(["marc", "truncated.xml", "--facet", "authors"]) == cli.EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: truncated.xml: malformed MARCXML:")
+        assert "line 1, column" in captured.err
 
     def test_unreadable_input_exits_one(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -235,10 +254,12 @@ class TestLod:
         assert code == cli.EXIT_INPUT
         capsys.readouterr()
 
-    def test_transport_failure_exits_two(self, fixture_roster, capsys):
+    def test_transport_failure_exits_two(self, fixture_roster, capsys, monkeypatch):
+        monkeypatch.setattr(lod, "BACKOFF_BASE_SECONDS", 0)
         transport = FlakyTransport(GraphTransport(PEOPLE_GRAPH), failures=99)
         code = cli.main(["lod", "--roster", fixture_roster], transport=transport)
         assert code == cli.EXIT_TRANSPORT
+        assert transport.attempts == lod.MAX_ATTEMPTS
         assert "transport error" in capsys.readouterr().err
 
 

@@ -352,7 +352,9 @@ class _SparqlHandler(BaseHTTPRequestHandler):
 @pytest.fixture()
 def loopback_endpoint():
     server = ThreadingHTTPServer(("127.0.0.1", 0), _SparqlHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+    )
     thread.start()
     _SparqlHandler.fail_next = []
     yield f"http://127.0.0.1:{server.server_address[1]}/sparql"

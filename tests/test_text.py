@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -12,6 +14,20 @@ from metadiv.diversity import FrequencyDistribution, richness
 from metadiv.fitting import ModelKind
 from metadiv.synthetic import zipf_corpus, zipf_probabilities, zipf_true_diversity
 from metadiv.text import TokenStream, lexical_report, pearson_r, tokenize
+
+# ASCII word characters, the token joiners, whitespace, characters whose
+# casefold expands (İ ῶ ǰ ß ﬁ) or whose lower() depends on position (Σ),
+# combining marks (U+0301, U+0342) and non-ASCII digits (٣ decimal, ² not).
+_TOKENIZER_ALPHABET = "aZq09_'’- \t\nİῶǰßΣﬁ\u0301\u0342٣²"
+
+
+def _per_match_tokens(text: str) -> tuple[str, ...]:
+    """Reference tokenizer: letter test and casefold once per match."""
+    return tuple(
+        m.group(0).casefold()
+        for m in re.finditer(r"\w+(?:['’-]\w+)*", text)
+        if re.search(r"[^\W\d_]", m.group(0))
+    )
 
 
 class TestTokenize:
@@ -45,6 +61,15 @@ class TestTokenize:
         once = tokenize(text).tokens
         twice = tokenize(" ".join(once)).tokens
         assert twice == once
+
+    @given(st.text(alphabet=_TOKENIZER_ALPHABET, max_size=200))
+    def test_equals_per_match_reference(self, text):
+        assert tokenize(text).tokens == _per_match_tokens(text)
+
+    def test_equal_tokens_share_one_string(self):
+        toks = tokenize("Hola hola HOLA ¡hola! Straße STRASSE strasse " * 50).tokens
+        assert len(toks) == 350
+        assert len({id(t) for t in toks}) == len(set(toks)) == 2
 
     @given(st.text(max_size=400))
     def test_type_count_equals_richness(self, text):
