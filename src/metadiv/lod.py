@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import logging
 import os
 import time
 from collections.abc import Callable, Iterable, Sequence
@@ -49,6 +50,8 @@ __all__ = [
     "profiles_to_csv",
     "PROFILE_CSV_HEADER",
 ]
+
+logger = logging.getLogger(__name__)
 
 # Grouped count of resources per class.  The text is frozen verbatim,
 # whitespace included: endpoints receive exactly these bytes.
@@ -237,6 +240,8 @@ class SparqlClient:
             except HarvestError as exc:
                 if not exc.retryable:
                     raise
+                logger.warning("%s: attempt %d of %d failed: %s",
+                               self.cfg.url, attempt + 1, MAX_ATTEMPTS, exc)
                 last_error = exc
         raise TransportError(
             f"{self.cfg.url}: giving up after {MAX_ATTEMPTS} attempts: {last_error}"

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import gzip
 import logging
-import re
+import os
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from xml.etree import ElementTree
@@ -43,14 +43,12 @@ FACETS = ("authors", "subjects", "subdivisions")
 # Subdivision kind by MARC subfield code; $a depends on the field.
 _SUBFIELD_KINDS = {"x": "topical", "y": "chronological", "z": "geographical", "v": "form"}
 _BASE_KINDS = {"650": "topical", "651": "geographical"}
-
-_WS_RE = re.compile(r"\s+")
+_AUTHOR_TAGS = frozenset(AUTHOR_FIELDS)
 
 
 def _normalize(text: str) -> str:
     """Trim, collapse internal whitespace, strip trailing punctuation."""
-    text = _WS_RE.sub(" ", text.strip())
-    return text.rstrip(" ,;:/.")
+    return " ".join(text.split()).rstrip(" ,;:/.")
 
 
 @dataclass(frozen=True)
@@ -135,18 +133,24 @@ def heading_from_subfields(
     return SubjectHeading(subdivisions=tuple(subdivisions), structured=True)
 
 
-def _localname(tag: str) -> str:
-    return tag.rsplit("}", 1)[-1]
+class _LocalNames(dict):
+    """Memo of element tag -> local name, without the ``{namespace}`` part."""
+
+    def __missing__(self, tag: str) -> str:
+        name = self[tag] = tag.rpartition("}")[2]
+        return name
 
 
-def _record_to_view(record: ElementTree.Element, subject_fields: tuple[str, ...]) -> MarcView:
+def _record_to_view(
+    record: ElementTree.Element, subject_fields: frozenset[str], names: _LocalNames
+) -> MarcView:
     record_id = None
     field_008 = None
     authors: list[str] = []
     headings: list[SubjectHeading] = []
 
     for child in record:
-        name = _localname(child.tag)
+        name = names[child.tag]
         if name == "controlfield":
             tag = child.get("tag")
             if tag == "001" and child.text:
@@ -155,19 +159,16 @@ def _record_to_view(record: ElementTree.Element, subject_fields: tuple[str, ...]
                 field_008 = child.text
         elif name == "datafield":
             tag = child.get("tag") or ""
-            subfields = [
-                (sf.get("code") or "", sf.text or "")
-                for sf in child
-                if _localname(sf.tag) == "subfield"
-            ]
-            if tag in AUTHOR_FIELDS:
-                for code, text in subfields:
-                    if code == "a":
-                        name_text = _normalize(text)
+            if tag in _AUTHOR_TAGS:
+                for sf in child:
+                    if sf.get("code") == "a" and names[sf.tag] == "subfield":
+                        name_text = _normalize(sf.text or "")
                         if name_text:
                             authors.append(name_text)
             elif tag in subject_fields:
-                heading = heading_from_subfields(subfields, tag)
+                pairs = [(sf.get("code") or "", sf.text or "")
+                         for sf in child if names[sf.tag] == "subfield"]
+                heading = heading_from_subfields(pairs, tag)
                 if heading is not None:
                     headings.append(heading)
 
@@ -181,6 +182,14 @@ def _record_to_view(record: ElementTree.Element, subject_fields: tuple[str, ...]
     )
 
 
+def _open(source):
+    """(binary handle, name for messages) of a path or file-like source."""
+    if hasattr(source, "read"):
+        return source, getattr(source, "name", "<stream>")
+    path = os.fsdecode(source)
+    return (gzip.open if path.endswith(".gz") else open)(path, "rb"), path
+
+
 class RecordStream(Iterator[MarcView]):
     """Iterator over the records of one or more MARCXML files.
 
@@ -191,45 +200,54 @@ class RecordStream(Iterator[MarcView]):
 
     def __init__(self, sources: Iterable, extended_subjects: bool = False) -> None:
         self._sources = list(sources)
-        self._subject_fields = (
+        self._subject_fields = frozenset(
             EXTENDED_SUBJECT_FIELDS if extended_subjects else SUBJECT_FIELDS
         )
         self.records = 0
         self.skipped = 0
+        self._names = _LocalNames()
         self._iter = self._walk()
 
-    def _open(self, source):
-        if hasattr(source, "read"):
-            return source
-        path = str(source)
-        if path.endswith(".gz"):
-            return gzip.open(path, "rb")
-        return open(path, "rb")
-
     def _walk(self) -> Iterator[MarcView]:
+        # Start events only: a record is complete once the next one starts
+        # (or the document ends), and is then dropped from the tree, so
+        # memory stays flat however many records a file holds.
+        names = self._names
         for source in self._sources:
-            handle = self._open(source)
+            handle, name = _open(source)
             try:
-                for _, elem in ElementTree.iterparse(handle, events=("end",)):
-                    if _localname(elem.tag) != "record":
-                        continue
-                    try:
-                        view = _record_to_view(elem, self._subject_fields)
-                    except ValueError as exc:
-                        self.skipped += 1
-                        logger.warning("skipping record: %s", exc)
-                    else:
-                        self.records += 1
-                        yield view
-                    elem.clear()
+                events = ElementTree.iterparse(handle, events=("start",))
+                _, root = next(events)
+                pending = root if names[root.tag] == "record" else None
+                for _, elem in events:
+                    if names[elem.tag] == "record":
+                        if pending is not None and (view := self._read(pending)):
+                            yield view
+                        del root[:]
+                        pending = elem
+                if pending is not None and (view := self._read(pending)):
+                    yield view
             except ElementTree.ParseError as exc:
                 # ParseError is a SyntaxError; callers handle malformed input
                 # as ValueError.
-                name = getattr(source, "name", "<stream>") if handle is source else source
                 raise ValueError(f"{name}: malformed MARCXML: {exc}") from exc
             finally:
                 if handle is not source:
                     handle.close()
+
+    def _read(self, record: ElementTree.Element) -> MarcView | None:
+        try:
+            view = _record_to_view(record, self._subject_fields, self._names)
+        except ValueError as exc:
+            self.skipped += 1
+            logger.warning("skipping record: %s", exc)
+            view = None
+        else:
+            self.records += 1
+        # Also empties a record nested below the root's children (as in an
+        # OAI-PMH envelope), which ``del root[:]`` does not reach.
+        record.clear()
+        return view
 
     def __iter__(self) -> RecordStream:
         return self
@@ -241,10 +259,10 @@ class RecordStream(Iterator[MarcView]):
 def parse_records(sources, extended_subjects: bool = False) -> RecordStream:
     """Stream MarcViews from MARCXML paths or file-like objects.
 
-    Accepts a single source or a sequence; ``.gz`` paths are decompressed
-    transparently.
+    Accepts a single source or a sequence; a path may be ``str``, ``bytes``
+    or ``os.PathLike``.  ``.gz`` paths are decompressed transparently.
     """
-    if isinstance(sources, (str, bytes)) or hasattr(sources, "read"):
+    if isinstance(sources, (str, bytes, os.PathLike)) or hasattr(sources, "read"):
         sources = [sources]
     return RecordStream(sources, extended_subjects=extended_subjects)
 
@@ -314,14 +332,10 @@ def facet_series(
         )
 
     events.sort(key=lambda pair: pair[0])  # stable: keeps arrival order per year
-    years = sorted({year for year, _ in events})
-    boundaries = []
-    count = 0
-    index = {}
-    for year, _ in events:
-        count += 1
-        index[year] = count
-    boundaries = [index[y] for y in years]
+    # Last event position of each year, in ascending year order.
+    ends = {year: position for position, (year, _) in enumerate(events, 1)}
+    years = list(ends)
+    boundaries = list(ends.values())
 
     labels = [label for _, label in events]
     schedule = CheckpointSchedule.explicit(boundaries)

@@ -246,6 +246,15 @@ class TestLod:
         )
         check_golden("lod_profile.csv", out)
 
+    def test_retry_leaves_stdout_unchanged(self, fixture_roster, capsys, monkeypatch):
+        monkeypatch.setattr(lod, "BACKOFF_BASE_SECONDS", 0)
+        transport = FlakyTransport(GraphTransport(PEOPLE_GRAPH), failures=1)
+        code = cli.main(["lod", "--roster", fixture_roster, "--format", "csv"],
+                        transport=transport)
+        assert code == cli.EXIT_OK
+        assert transport.attempts == 4  # three queries, the first one retried
+        check_golden("lod_profile.csv", capsys.readouterr().out)
+
     def test_endpoint_filter_unknown_name(self, fixture_roster, capsys):
         code = cli.main(
             ["lod", "--roster", fixture_roster, "--endpoint", "NOPE"],

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import logging
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
@@ -162,6 +163,16 @@ class TestClientBehavior:
         assert len(result.rows) == 2
         assert transport.attempts == 3
         assert sleeps == [0.5, 1.0]  # exponential backoff
+
+    def test_retries_are_logged(self, caplog):
+        transport = FlakyTransport(GraphTransport(PEOPLE_GRAPH), failures=2)
+        client = SparqlClient(CFG, transport, sleep=lambda _: None)
+        with caplog.at_level(logging.WARNING, logger="metadiv.lod"):
+            client.select(CLASS_COUNT_QUERY)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{CFG.url}: attempt 1 of 3 failed: connection reset",
+            f"{CFG.url}: attempt 2 of 3 failed: connection reset",
+        ]
 
     def test_gives_up_with_retry_count(self):
         transport = FlakyTransport(GraphTransport(PEOPLE_GRAPH), failures=10)

@@ -4,12 +4,24 @@ from __future__ import annotations
 
 import gzip
 import io
+import logging
+import os
+import re
+import tracemalloc
+from xml.etree import ElementTree
+from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metadiv.diversity import FrequencyDistribution, hill_diversity
 from metadiv.marc import (
+    EXTENDED_SUBJECT_FIELDS,
+    SUBJECT_FIELDS,
+    MarcView,
+    SubjectHeading,
     entry_year,
     facet_series,
     heading_from_subfields,
@@ -17,7 +29,7 @@ from metadiv.marc import (
     split_heading,
 )
 
-from .conftest import marc_collection, marc_record
+from .conftest import MARC_NS, marc_collection, marc_record
 
 
 class TestEntryYear:
@@ -167,6 +179,228 @@ class TestParseRecords:
         heading = extended_views[0].headings[0]
         assert heading.descriptor == "Spain--History"
         assert heading.subdivisions[0] == ("geographical", "Spain")
+
+
+class TestSourcePaths:
+    def test_path_object(self, tmp_path):
+        path = tmp_path / "records.xml"
+        path.write_bytes(marc_collection(marc_record("r1", "850315")))
+        assert [v.record_id for v in parse_records(path)] == ["r1"]
+
+    def test_bytes_path(self, tmp_path):
+        path = tmp_path / "records.xml.gz"
+        path.write_bytes(gzip.compress(marc_collection(marc_record("r1", "850315"))))
+        assert [v.record_id for v in parse_records(os.fsencode(path))] == ["r1"]
+
+    def test_sequence_of_path_kinds(self, tmp_path):
+        paths = []
+        for i in range(3):
+            path = tmp_path / f"part{i}.xml"
+            path.write_bytes(marc_collection(marc_record(f"r{i}", "850315")))
+            paths.append(path)
+        sources = [paths[0], os.fsencode(paths[1]), str(paths[2])]
+        assert [v.record_id for v in parse_records(sources)] == ["r0", "r1", "r2"]
+
+    def test_malformed_file_named_by_its_path(self, tmp_path):
+        path = tmp_path / "truncated.xml"
+        path.write_bytes(marc_collection(marc_record("r1", "850315"))[:-20])
+        with pytest.raises(ValueError, match=re.escape(f"{path}: malformed MARCXML")):
+            list(parse_records(os.fsencode(path)))
+
+
+class TestStreamingMemory:
+    def test_memory_independent_of_catalog_size(self):
+        def peak(n_records: int) -> int:
+            source = io.BytesIO(marc_collection(*(
+                marc_record(f"r{i:06d}", "850315", authors=(f"Author {i % 97}",),
+                            subjects=((("a", "Art"), ("x", "History")),))
+                for i in range(n_records)
+            )))
+            tracemalloc.start()
+            try:
+                for _ in parse_records(source):
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # The end-event walk kept each emptied record on the root: about
+        # 80 bytes a record, 280 KB more for the larger catalog.
+        small, large = peak(500), peak(4_000)
+        assert large <= small + 32 * 1024
+
+
+# --- reference: the end-event record walk with per-element namespace
+# stripping and regex normalization, as this module read MARCXML before it
+# switched to start events ----------------------------------------------------
+
+_REF_WS_RE = re.compile(r"\s+")
+
+
+def _ref_normalize(text):
+    text = _REF_WS_RE.sub(" ", text.strip())
+    return text.rstrip(" ,;:/.")
+
+
+def _ref_localname(tag):
+    return tag.rsplit("}", 1)[-1]
+
+
+def _ref_heading(pairs, tag):
+    kinds = {"x": "topical", "y": "chronological", "z": "geographical", "v": "form"}
+    subdivisions = []
+    for code, raw in pairs:
+        text = _ref_normalize(raw)
+        if not text:
+            continue
+        if code == "a":
+            subdivisions.append(({"650": "topical", "651": "geographical"}.get(tag, "other"), text))
+        elif code in kinds:
+            subdivisions.append((kinds[code], text))
+    if not subdivisions:
+        return None
+    if len(subdivisions) == 1 and "--" in subdivisions[0][1]:
+        return split_heading(subdivisions[0][1])
+    return SubjectHeading(subdivisions=tuple(subdivisions), structured=True)
+
+
+def _ref_record_to_view(record, subject_fields):
+    record_id = None
+    field_008 = None
+    authors = []
+    headings = []
+    for child in record:
+        name = _ref_localname(child.tag)
+        if name == "controlfield":
+            tag = child.get("tag")
+            if tag == "001" and child.text:
+                record_id = child.text.strip()
+            elif tag == "008" and child.text:
+                field_008 = child.text
+        elif name == "datafield":
+            tag = child.get("tag") or ""
+            subfields = [
+                (sf.get("code") or "", sf.text or "")
+                for sf in child
+                if _ref_localname(sf.tag) == "subfield"
+            ]
+            if tag in ("100", "110", "111", "700", "710", "711"):
+                for code, text in subfields:
+                    if code == "a":
+                        name_text = _ref_normalize(text)
+                        if name_text:
+                            authors.append(name_text)
+            elif tag in subject_fields:
+                heading = _ref_heading(subfields, tag)
+                if heading is not None:
+                    headings.append(heading)
+    if not record_id:
+        raise ValueError("record has no 001 control number")
+    return MarcView(record_id, entry_year(field_008), tuple(authors), tuple(headings))
+
+
+def _ref_parse(data, extended_subjects):
+    fields = EXTENDED_SUBJECT_FIELDS if extended_subjects else SUBJECT_FIELDS
+    views, warnings, records, skipped = [], [], 0, 0
+    for _, elem in ElementTree.iterparse(io.BytesIO(data), events=("end",)):
+        if _ref_localname(elem.tag) != "record":
+            continue
+        try:
+            view = _ref_record_to_view(elem, fields)
+        except ValueError as exc:
+            skipped += 1
+            warnings.append(f"skipping record: {exc}")
+        else:
+            records += 1
+            views.append(view)
+        elem.clear()
+    return views, warnings, records, skipped
+
+
+# Mixed ASCII and Unicode whitespace, trailing punctuation, "--" joins.
+_PIECES = ["Art", "Zé", "Ñu", "a", " ", "  ", "\t", "\n", "\r", "\u00a0", "\u2003",
+           "\u3000", "\u2028", "\x85", ",", ";", ":", "/", ".", "-", "--", " -- "]
+_texts = st.lists(st.sampled_from(_PIECES), max_size=6).map("".join)
+_controlfields = st.tuples(
+    st.just("controlfield"),
+    st.sampled_from(["001", "003", "005", "008", None]),
+    st.one_of(_texts, st.sampled_from(["850315", "200101s2020", "xx0101", "85", "||||||"])),
+    st.just(()),
+)
+_subfields = st.tuples(
+    st.sampled_from(["subfield", "subfield", "subfield", "note"]),
+    st.sampled_from(["a", "a", "x", "y", "z", "v", "0", "2", "c", None]),
+    _texts,
+    st.just(()),
+)
+_datafields = st.tuples(
+    st.just("datafield"),
+    st.sampled_from(["100", "110", "111", "700", "710", "711", "245",
+                     "650", "650", "600", "610", "651", "500", None]),
+    st.just(""),
+    st.lists(_subfields, max_size=5),
+)
+_records = st.tuples(
+    st.sampled_from([None, "", "  ", "r1", " bib 2 "]),  # 001; None: absent
+    st.sampled_from([None, "850315s1985", "200101", "xx0101", "85", ""]),  # 008
+    st.lists(st.one_of(_controlfields, _datafields,
+                       st.just(("leader", None, "00000nam", ()))), max_size=6),
+)
+
+
+def _element(prefix, name, tag, text, children):
+    attr = "" if tag is None else f' {"code" if name in ("subfield", "note") else "tag"}="{tag}"'
+    inner = escape(text) + "".join(_element(prefix, *c) for c in children)
+    return f"<{prefix}{name}{attr}>{inner}</{prefix}{name}>"
+
+
+def _record_xml(prefix, record):
+    record_id, field_008, children = record
+    head = [("controlfield", "001", record_id, ()), ("controlfield", "008", field_008, ())]
+    body = [c for c in head if c[2] is not None] + children
+    return f"<{prefix}record>{''.join(_element(prefix, *c) for c in body)}</{prefix}record>"
+
+
+@st.composite
+def marc_documents(draw):
+    """MARCXML bytes: a collection without namespace, with the MARC namespace
+    as default or prefixed, or a lone record as the document element."""
+    layout = draw(st.sampled_from(["plain", "default", "prefixed"]))
+    prefix = "marc:" if layout == "prefixed" else ""
+    decl = {"plain": "", "default": f' xmlns="{MARC_NS}"',
+            "prefixed": f' xmlns:marc="{MARC_NS}"'}[layout]
+    records = [_record_xml(prefix, r) for r in draw(st.lists(_records, max_size=6))]
+    if len(records) == 1 and draw(st.booleans()):
+        body = records[0].replace(f"<{prefix}record>", f"<{prefix}record{decl}>", 1)
+    else:
+        body = f"<{prefix}collection{decl}>{''.join(records)}</{prefix}collection>"
+    return ('<?xml version="1.0" encoding="UTF-8"?>' + body).encode("utf-8")
+
+
+class _Messages(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+class TestRecordWalkOracle:
+    @settings(max_examples=200)
+    @given(marc_documents(), st.booleans())
+    def test_equals_end_event_reference(self, data, extended_subjects):
+        views, warnings, records, skipped = _ref_parse(data, extended_subjects)
+        logger = logging.getLogger("metadiv.marc")
+        handler = _Messages()
+        logger.addHandler(handler)
+        try:
+            stream = parse_records(io.BytesIO(data), extended_subjects=extended_subjects)
+            assert list(stream) == views
+        finally:
+            logger.removeHandler(handler)
+        assert (stream.records, stream.skipped) == (records, skipped)
+        assert handler.messages == warnings
 
 
 def catalog(entries):
