@@ -182,6 +182,24 @@ def _record_to_view(
     )
 
 
+def _container(
+    root: ElementTree.Element, elem: ElementTree.Element
+) -> ElementTree.Element | None:
+    """The parent of ``elem``, the element that has just started.
+
+    The open elements form the rightmost path of the tree and the newest
+    one ends it.  None when that path no longer reaches ``elem``, because an
+    enclosing record was already read and cleared.
+    """
+    parent = root
+    while len(parent):
+        last = parent[-1]
+        if last is elem:
+            return parent
+        parent = last
+    return None
+
+
 def _open(source):
     """(binary handle, name for messages) of a path or file-like source."""
     if hasattr(source, "read"):
@@ -210,8 +228,9 @@ class RecordStream(Iterator[MarcView]):
 
     def _walk(self) -> Iterator[MarcView]:
         # Start events only: a record is complete once the next one starts
-        # (or the document ends), and is then dropped from the tree, so
-        # memory stays flat however many records a file holds.
+        # (or the document ends).  Each new record's container is then
+        # emptied, which drops the finished records, so memory stays flat
+        # however many records a file holds.
         names = self._names
         for source in self._sources:
             handle, name = _open(source)
@@ -223,7 +242,8 @@ class RecordStream(Iterator[MarcView]):
                     if names[elem.tag] == "record":
                         if pending is not None and (view := self._read(pending)):
                             yield view
-                        del root[:]
+                        if (container := _container(root, elem)) is not None:
+                            del container[:]
                         pending = elem
                 if pending is not None and (view := self._read(pending)):
                     yield view
@@ -244,8 +264,8 @@ class RecordStream(Iterator[MarcView]):
             view = None
         else:
             self.records += 1
-        # Also empties a record nested below the root's children (as in an
-        # OAI-PMH envelope), which ``del root[:]`` does not reach.
+        # Frees the fields of a record that stays attached: one inside
+        # another record, or the last one of a container.
         record.clear()
         return view
 
@@ -332,10 +352,14 @@ def facet_series(
         )
 
     events.sort(key=lambda pair: pair[0])  # stable: keeps arrival order per year
-    # Last event position of each year, in ascending year order.
-    ends = {year: position for position, (year, _) in enumerate(events, 1)}
-    years = list(ends)
-    boundaries = list(ends.values())
+    years = sorted({year for year, _ in events})
+    boundaries = []
+    count = 0
+    index = {}
+    for year, _ in events:
+        count += 1
+        index[year] = count
+    boundaries = [index[y] for y in years]
 
     labels = [label for _, label in events]
     schedule = CheckpointSchedule.explicit(boundaries)

@@ -229,6 +229,60 @@ class TestStreamingMemory:
         small, large = peak(500), peak(4_000)
         assert large <= small + 32 * 1024
 
+    @pytest.mark.parametrize("shape", ["container", "oai"])
+    def test_memory_flat_inside_an_envelope(self, shape, caplog):
+        # Each OAI-PMH record is also a "record" without 001, skipped with a
+        # warning; captured warnings would grow with the catalog.
+        caplog.set_level(logging.ERROR, logger="metadiv.marc")
+
+        def peak(n_records: int) -> int:
+            source = io.BytesIO(_enveloped([
+                marc_record(f"r{i:06d}", "850315", authors=(f"Author {i % 97}",))
+                for i in range(n_records)
+            ], shape, decl=f' xmlns="{MARC_NS}"'))
+            tracemalloc.start()
+            try:
+                stream = parse_records(source)
+                assert sum(1 for _ in stream) == n_records
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # Emptying the root alone left each record on the envelope's list.
+        small, large = peak(500), peak(4_000)
+        assert large <= small + 32 * 1024
+
+
+class TestTruncatedCollection:
+    """A record is read once the next record starts or the document ends,
+    so a parse error between two records loses the one complete before it."""
+
+    def test_error_inside_a_record(self):
+        data = marc_collection(marc_record("r1", "850315", authors=("Ann",)),
+                               marc_record("r2", "850315"))
+        stream = parse_records(io.BytesIO(data[:data.index(b"r2")]))
+        views = []
+        with pytest.raises(ValueError, match=r"^<stream>: malformed MARCXML: .+: "
+                                             r"line 1, column \d+$"):
+            views.extend(stream)
+        assert views == [MarcView("r1", 1985, ("Ann",), ())]
+        assert (stream.records, stream.skipped) == (1, 0)
+
+    def test_error_between_records(self, caplog):
+        data = marc_collection(marc_record("r1", "850315"), marc_record(None, "850315"),
+                               marc_record("r3", "850315"))
+        cut = data.rindex(b"<record>") + len(b"<rec")
+        stream = parse_records(io.BytesIO(data[:cut]))
+        views = []
+        with caplog.at_level(logging.WARNING, logger="metadiv.marc"):
+            with pytest.raises(ValueError, match=r"^<stream>: malformed MARCXML: .+: "
+                                                 r"line 1, column \d+$"):
+                views.extend(stream)
+        # The record without 001 was complete but is neither read nor counted.
+        assert views == [MarcView("r1", 1985, (), ())]
+        assert (stream.records, stream.skipped) == (1, 0)
+        assert caplog.records == []
+
 
 # --- reference: the end-event record walk with per-element namespace
 # stripping and regex normalization, as this module read MARCXML before it
@@ -361,15 +415,36 @@ def _record_xml(prefix, record):
     return f"<{prefix}record>{''.join(_element(prefix, *c) for c in body)}</{prefix}record>"
 
 
+OAI_NS = "http://www.openarchives.org/OAI/2.0/"
+
+
+def _enveloped(records: list[str], shape: str, decl: str = "", prefix: str = "") -> bytes:
+    """MARCXML records inside an envelope: ``container`` puts them in a list
+    below the root, between other elements; ``oai`` wraps each one in an
+    OAI-PMH record, as a harvest returns them."""
+    if shape == "container":
+        body = (f"<{prefix}envelope{decl}><{prefix}header/><{prefix}list>{''.join(records)}"
+                f"<{prefix}token/></{prefix}list></{prefix}envelope>")
+    else:
+        items = "".join(f"<o:record><o:header/><o:metadata>{r}</o:metadata></o:record>"
+                        for r in records)
+        body = f'<o:OAI-PMH xmlns:o="{OAI_NS}"{decl}><o:ListRecords>{items}</o:ListRecords></o:OAI-PMH>'
+    return ('<?xml version="1.0" encoding="UTF-8"?>' + body).encode("utf-8")
+
+
 @st.composite
 def marc_documents(draw):
     """MARCXML bytes: a collection without namespace, with the MARC namespace
-    as default or prefixed, or a lone record as the document element."""
+    as default or prefixed, a lone record as the document element, or the
+    records inside an envelope."""
     layout = draw(st.sampled_from(["plain", "default", "prefixed"]))
     prefix = "marc:" if layout == "prefixed" else ""
     decl = {"plain": "", "default": f' xmlns="{MARC_NS}"',
             "prefixed": f' xmlns:marc="{MARC_NS}"'}[layout]
     records = [_record_xml(prefix, r) for r in draw(st.lists(_records, max_size=6))]
+    shape = draw(st.sampled_from(["collection", "collection", "container", "oai"]))
+    if shape != "collection":
+        return _enveloped(records, shape, decl, prefix)
     if len(records) == 1 and draw(st.booleans()):
         body = records[0].replace(f"<{prefix}record>", f"<{prefix}record{decl}>", 1)
     else:
@@ -400,7 +475,12 @@ class TestRecordWalkOracle:
         finally:
             logger.removeHandler(handler)
         assert (stream.records, stream.skipped) == (records, skipped)
-        assert handler.messages == warnings
+        if OAI_NS.encode() in data:
+            # An OAI-PMH record is read when the MARC record inside it starts,
+            # so its warning comes first; the reference logs it last.
+            assert sorted(handler.messages) == sorted(warnings)
+        else:
+            assert handler.messages == warnings
 
 
 def catalog(entries):

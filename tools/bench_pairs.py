@@ -10,14 +10,17 @@ with its own ``perfbench/``.  Every ``W:SEED:N`` item runs
 ``python3 perfbench/run.py --workload W --seed SEED --seconds S --trace 0``
 N times in each checkout, alternating which side goes first (the parent in
 odd pairs); every ``W:SEED`` of ``--traced`` runs once per side with
-``--trace 1``.  Each run's value is the figure the run prints, its median
-at reference host speed.  The output holds, per workload and seed, every
-run's value, medians, quartiles and the pairs the change won, plus the
-input spec, the environment and the command.
+``--trace 1``.  S is ``run_seconds`` of the change's BENCHMARK.json.
+``--parent`` must be a git checkout; its HEAD is recorded as the parent
+commit.  Each run's value is the figure the run prints, its median at
+reference host speed.  The output holds, per workload and seed, every run's
+value, medians, quartiles and the pairs the change won, plus the input
+spec, the environment and the command.
 
 The output file is rewritten after every run and an existing one is
 extended, so an interrupted session resumes where it stopped and several
-calls can fill one file.
+calls can fill one file.  A file recorded against another parent commit or
+run length is refused.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ SIDES = ("parent", "change")
 ENV_KEYS = ("python", "numpy", "blas", "blas_threads", "nproc", "cpu_model")
 
 
-def run_benchmark(checkout: str, workload: str, seed: int, seconds: float,
+def run_benchmark(checkout: str, workload: str, seed: int, seconds: int,
                   trace: int) -> tuple[dict, dict]:
     """(last-line result, details file) of one ``perfbench/run.py`` run."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -56,10 +59,9 @@ def describe(values: list[float]) -> dict:
             "q3": round(q3, 6), "runs": [round(v, 6) for v in values]}
 
 
-def better_directions(checkout: str) -> dict[str, str]:
+def benchmark_spec(checkout: str) -> dict:
     with open(os.path.join(checkout, "BENCHMARK.json"), encoding="utf-8") as f:
-        spec = json.load(f)
-    return {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+        return json.load(f)
 
 
 def summarize(raw: dict, better: dict[str, str]) -> dict:
@@ -102,12 +104,12 @@ def summarize(raw: dict, better: dict[str, str]) -> dict:
     return workloads
 
 
-def write(path: str, raw: dict, args, better: dict[str, str]) -> None:
+def write(path: str, raw: dict, better: dict[str, str]) -> None:
     out = {
         "change": raw["note"],
         "parent_commit": raw["parent_commit"],
         "claim": raw["claim"],
-        "method": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} "
+        "method": f"python3 perfbench/run.py --workload W --seed S --seconds {raw['run_seconds']} "
                   "--trace 0, parent and change each from its own checkout, alternating "
                   "which runs first (parent first in odd pairs); each run's value is that "
                   "run's median at reference host speed; medians and quartiles below are "
@@ -138,19 +140,26 @@ def main(argv=None) -> int:
                         help="N alternating pairs of untraced runs of workload W at SEED")
     parser.add_argument("--traced", nargs="*", default=[], metavar="W:SEED",
                         help="one --trace 1 run per side")
-    parser.add_argument("--seconds", type=float, default=25)
     parser.add_argument("--claim", metavar="W:METRIC", help="the metric the change claims")
     parser.add_argument("--note", default="", help="one line on what the change does")
-    parser.add_argument("--parent-commit", help="default: git HEAD of --parent")
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
 
-    better = better_directions(args.change)
-    raw = {"note": args.note, "parent_commit": args.parent_commit or git_head(args.parent),
+    parent_commit = git_head(args.parent)
+    if parent_commit is None:
+        parser.error(f"--parent {args.parent} is not a git checkout")
+    spec = benchmark_spec(args.change)
+    better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    seconds = spec["run_seconds"]
+    raw = {"note": args.note, "parent_commit": parent_commit, "run_seconds": seconds,
            "claim": None, "environment": None, "input_spec": {}, "pairs": {}, "traced": {}}
     if os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as f:
             raw = json.load(f)["raw"]
+        recorded = (raw.get("parent_commit"), raw.get("run_seconds"))
+        if recorded != (parent_commit, seconds):
+            parser.error(f"{args.out} holds runs of parent {recorded[0]} at {recorded[1]} s, "
+                         f"not of {parent_commit} at {seconds} s")
     if args.claim:
         workload, metric = args.claim.split(":")
         raw["claim"] = {"workload": workload, "metric": metric, "better": better[metric]}
@@ -158,7 +167,7 @@ def main(argv=None) -> int:
     checkouts = {"parent": args.parent, "change": args.change}
 
     def one(side: str, workload: str, seed: int, trace: int) -> dict:
-        result, details = run_benchmark(checkouts[side], workload, seed, args.seconds, trace)
+        result, details = run_benchmark(checkouts[side], workload, seed, seconds, trace)
         raw["environment"] = raw["environment"] or {k: details["environment"][k] for k in ENV_KEYS}
         raw["input_spec"].setdefault(f"{workload}:{seed}", details["input_spec"])
         value = result["metrics"].get("wall_s", {}).get("value")
@@ -176,15 +185,15 @@ def main(argv=None) -> int:
             for side in order:
                 pair[side] = one(side, workload, int(seed), 0)
             runs.append(pair)
-            write(args.out, raw, args, better)
+            write(args.out, raw, better)
     for item in args.traced:
         workload, seed = item.split(":")
         sides = raw["traced"].setdefault(f"{workload}:{seed}", {})
         for side in SIDES:
             if side not in sides:
                 sides[side] = one(side, workload, int(seed), 1)
-                write(args.out, raw, args, better)
-    write(args.out, raw, args, better)
+                write(args.out, raw, better)
+    write(args.out, raw, better)
     return 0
 
 
