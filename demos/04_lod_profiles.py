@@ -3,9 +3,10 @@
 A profile counts how often each RDF class and property is used, plus where
 owl:sameAs links point, and condenses each distribution into diversity D,
 richness R and the evenness ratio D/R.  This demo runs against an
-in-memory fixture endpoint so it works offline; pointing `profile()` at a
-real EndpointConfig from the shipped roster performs the same harvest over
-HTTP.  Run with:  python demos/04_lod_profiles.py
+in-memory fixture endpoint, handed to `profile()` as the transport of its
+`SparqlClient`, so it works offline.  A client built from a shipped roster
+entry with no transport, `profile(SparqlClient(cfg))`, performs the same
+harvest over HTTP.  Run with:  python demos/04_lod_profiles.py
 """
 
 from collections import Counter
@@ -15,6 +16,7 @@ from metadiv.lod import (
     PROPERTY_COUNT_QUERY,
     SAMEAS_HOST_QUERY,
     EndpointConfig,
+    SparqlClient,
     SparqlResult,
     load_published_profiles,
     load_roster,
@@ -61,7 +63,7 @@ TRIPLES = (
 )
 
 cfg = EndpointConfig(name="DEMO", url="http://fixture.invalid/sparql")
-prof = profile(cfg, transport=FixtureEndpoint(TRIPLES))
+prof = profile(SparqlClient(cfg, FixtureEndpoint(TRIPLES)))
 
 derived = prof.derived()
 print("\nfixture endpoint profile:")

@@ -17,7 +17,8 @@ import sys
 
 from .accumulation import AccumulationCurve, CheckpointSchedule
 from .fitting import ModelKind, compare_models, fit_model, fit_power_law
-from .lod import HarvestError, SparqlTransport, load_roster, profile, profiles_to_csv
+from .lod import (HarvestError, SparqlClient, SparqlTransport, load_roster, profile,
+                  profiles_to_csv)
 from .marc import FACETS, facet_series, parse_records
 from .text import DEFAULT_TRAIN_LIMIT, lexical_report, pearson_r, tokenize
 
@@ -190,7 +191,7 @@ def _run_lod(args, transport) -> int:
         roster = [cfg for cfg in roster if cfg.name == args.endpoint]
         if not roster:
             raise ValueError(f"endpoint {args.endpoint!r} is not in the roster")
-    profiles = [profile(cfg, transport) for cfg in roster]
+    profiles = [profile(SparqlClient(cfg, transport)) for cfg in roster]
     if args.format == "csv":
         _write_output(profiles_to_csv(profiles), args.output)
     else:

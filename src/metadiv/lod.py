@@ -5,7 +5,8 @@ of triples per property, and the number of owl:sameAs links per external
 hostname.  When an endpoint truncates result sets or times out on the
 grouped query, retrieval falls back to a partitioned two-phase strategy:
 enumerate the distinct keys page by page, then count per key in batches via
-VALUES clauses.  Requests to one endpoint are strictly sequential and
+VALUES clauses.  Every harvester takes one ``SparqlClient``, which holds the
+endpoint's config and transport; its requests are strictly sequential and
 separated by a politeness delay.
 """
 
@@ -289,14 +290,11 @@ def _partitioned_counts(
 ) -> FrequencyDistribution:
     keys = _paginate_keys(client, enum_template, key_var)
     page = client.cfg.page_size
-    pairs: list[tuple[str, int]] = []
+    rows: list[dict[str, str]] = []
     for start in range(0, len(keys), page):
-        batch = keys[start : start + page]
-        values = " ".join(f"<{key}>" for key in batch)
-        rows = client.select(batch_template.format(values=values)).rows
-        dist = _counts_from_rows(rows, key_var)
-        pairs.extend(dist.counts.items())
-    return FrequencyDistribution.from_counts(pairs)
+        values = " ".join(f"<{key}>" for key in keys[start : start + page])
+        rows.extend(client.select(batch_template.format(values=values)).rows)
+    return _counts_from_rows(rows, key_var)
 
 
 def _grouped_with_fallback(
@@ -333,42 +331,23 @@ _PROPERTY_BATCH = (
 )
 
 
-def _client(cfg, transport, client):
-    return client if client is not None else SparqlClient(cfg, transport)
-
-
-def class_counts(
-    cfg: EndpointConfig,
-    transport: SparqlTransport | None = None,
-    client: SparqlClient | None = None,
-) -> FrequencyDistribution:
+def class_counts(client: SparqlClient) -> FrequencyDistribution:
     """Resources per class, with partitioned fallback on truncation/timeout."""
-    runner = _client(cfg, transport, client)
     return _grouped_with_fallback(
-        runner, CLASS_COUNT_QUERY, _CLASS_ENUM, _CLASS_BATCH, "class"
+        client, CLASS_COUNT_QUERY, _CLASS_ENUM, _CLASS_BATCH, "class"
     )
 
 
-def property_counts(
-    cfg: EndpointConfig,
-    transport: SparqlTransport | None = None,
-    client: SparqlClient | None = None,
-) -> FrequencyDistribution:
+def property_counts(client: SparqlClient) -> FrequencyDistribution:
     """Triples per predicate, with the same partitioned fallback."""
-    runner = _client(cfg, transport, client)
     return _grouped_with_fallback(
-        runner, PROPERTY_COUNT_QUERY, _PROPERTY_ENUM, _PROPERTY_BATCH, "p"
+        client, PROPERTY_COUNT_QUERY, _PROPERTY_ENUM, _PROPERTY_BATCH, "p"
     )
 
 
-def sameas_host_counts(
-    cfg: EndpointConfig,
-    transport: SparqlTransport | None = None,
-    client: SparqlClient | None = None,
-) -> FrequencyDistribution:
+def sameas_host_counts(client: SparqlClient) -> FrequencyDistribution:
     """owl:sameAs links per external hostname, as extracted by the endpoint."""
-    runner = _client(cfg, transport, client)
-    return _counts_from_rows(runner.select(SAMEAS_HOST_QUERY).rows, "hostname")
+    return _counts_from_rows(client.select(SAMEAS_HOST_QUERY).rows, "hostname")
 
 
 class DerivedIndices(NamedTuple):
@@ -437,27 +416,23 @@ class LodProfile:
         return json.dumps(self.to_dict(), **kwargs)
 
 
-def profile(
-    cfg: EndpointConfig,
-    transport: SparqlTransport | None = None,
-    sleep: Callable[[float], None] = time.sleep,
-) -> LodProfile:
-    """Harvest one endpoint and derive its diversity summary.
+def profile(client: SparqlClient) -> LodProfile:
+    """Harvest one endpoint through ``client`` and derive its diversity summary.
 
-    A failing sameAs harvest yields a partial profile (complete=False);
-    class or property failures propagate.
+    Every request goes through the one client, so its politeness delay
+    separates all of them.  A failing sameAs harvest yields a partial
+    profile (complete=False); class or property failures propagate.
     """
-    client = SparqlClient(cfg, transport, sleep=sleep)
-    classes = class_counts(cfg, client=client)
-    properties = property_counts(cfg, client=client)
+    classes = class_counts(client)
+    properties = property_counts(client)
     complete = True
     try:
-        sameas = sameas_host_counts(cfg, client=client)
+        sameas = sameas_host_counts(client)
     except HarvestError:
         sameas = FrequencyDistribution()
         complete = False
     return LodProfile(
-        endpoint=cfg.name,
+        endpoint=client.cfg.name,
         classes=classes,
         properties=properties,
         sameas_hosts=sameas,
@@ -479,24 +454,33 @@ def profiles_to_csv(profiles: Sequence[LodProfile]) -> str:
     return "\n".join(lines) + "\n"
 
 
+_ROSTER_OPTIONS = {"page_size": int, "timeout": float, "delay_ms": int}
+
+
 def load_roster(path=None) -> list[EndpointConfig]:
-    """Endpoint roster: the shipped library list, or a user JSON file."""
+    """Endpoint roster: the shipped library list, or a user JSON file.
+
+    Each entry needs a ``name`` and a ``url``; ``page_size``, ``timeout``
+    and ``delay_ms`` override the ``EndpointConfig`` defaults.
+    """
     if path is None:
+        source = "shipped roster"
         text = resources.files("metadiv").joinpath("data/endpoints.json").read_text("utf-8")
     else:
+        source = f"roster {path}"
         with open(path, encoding="utf-8") as f:
             text = f.read()
     entries = json.loads(text)
-    return [
-        EndpointConfig(
-            name=e["name"],
-            url=e["url"],
-            page_size=int(e.get("page_size", 10_000)),
-            timeout=float(e.get("timeout", 60.0)),
-            delay_ms=int(e.get("delay_ms", 0)),
-        )
-        for e in entries
-    ]
+    if not isinstance(entries, list):
+        raise ValueError(f"{source}: expected a JSON list of endpoints")
+    roster = []
+    for index, entry in enumerate(entries):
+        try:
+            options = {k: cast(entry[k]) for k, cast in _ROSTER_OPTIONS.items() if k in entry}
+            roster.append(EndpointConfig(name=entry["name"], url=entry["url"], **options))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{source}: entry {index} is invalid: {exc!r}") from exc
+    return roster
 
 
 class PublishedProfile(NamedTuple):

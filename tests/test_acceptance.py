@@ -28,6 +28,7 @@ from metadiv.lod import (
     CLASS_COUNT_QUERY,
     SAMEAS_HOST_QUERY,
     EndpointConfig,
+    SparqlClient,
     class_counts,
     load_published_profiles,
     property_counts,
@@ -265,11 +266,10 @@ class TestCriterion8LodSuite:
         plain = EndpointConfig(name="FIX", url="http://fixture.invalid/sparql")
         capped = EndpointConfig(name="FIX", url="http://fixture.invalid/sparql", page_size=3)
         for op in (class_counts, property_counts):
-            direct = op(plain, transport=GraphTransport(triples))
-            partitioned = op(capped, transport=GraphTransport(triples, row_cap=3))
+            direct = op(SparqlClient(plain, GraphTransport(triples)))
+            partitioned = op(SparqlClient(capped, GraphTransport(triples, row_cap=3)))
             flagged = op(
-                plain,
-                transport=GraphTransport(triples, row_cap=1, signal_truncation=True),
+                SparqlClient(plain, GraphTransport(triples, row_cap=1, signal_truncation=True))
             )
             assert direct == partitioned == flagged
 

@@ -263,6 +263,20 @@ class TestLod:
         assert code == cli.EXIT_INPUT
         capsys.readouterr()
 
+    @pytest.mark.parametrize("entries", [
+        [{"url": "http://x.invalid/sparql"}],               # entry without a name
+        {"name": "X", "url": "http://x.invalid/sparql"},    # object, not a list
+    ])
+    def test_malformed_roster_exits_one(self, tmp_path, capsys, entries):
+        roster = tmp_path / "r.json"
+        roster.write_text(json.dumps(entries))
+        code = cli.main(["lod", "--roster", str(roster)],
+                        transport=GraphTransport(PEOPLE_GRAPH))
+        assert code == cli.EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("input error:") and str(roster) in err
+
     def test_transport_failure_exits_two(self, fixture_roster, capsys, monkeypatch):
         monkeypatch.setattr(lod, "BACKOFF_BASE_SECONDS", 0)
         transport = FlakyTransport(GraphTransport(PEOPLE_GRAPH), failures=99)

@@ -5,10 +5,13 @@ from __future__ import annotations
 import json
 import logging
 import threading
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metadiv.lod import (
     CLASS_COUNT_QUERY,
@@ -78,16 +81,16 @@ class TestEndpointConfig:
 
 class TestClassCounts:
     def test_hand_counted_fixture(self):
-        dist = class_counts(CFG, transport=GraphTransport(PEOPLE_GRAPH))
+        dist = class_counts(SparqlClient(CFG, GraphTransport(PEOPLE_GRAPH)))
         assert dist.counts == {"http://example.org/Person": 2, "http://example.org/Work": 1}
 
     def test_empty_graph(self):
-        dist = class_counts(CFG, transport=GraphTransport([]))
+        dist = class_counts(SparqlClient(CFG, GraphTransport([])))
         assert dist.counts == {}
 
     def test_truncation_flag_triggers_partitioned_path(self):
         transport = GraphTransport(PEOPLE_GRAPH, row_cap=1, signal_truncation=True)
-        dist = class_counts(CFG, transport=transport)
+        dist = class_counts(SparqlClient(CFG, transport))
         assert dist.counts == {"http://example.org/Person": 2, "http://example.org/Work": 1}
         assert transport.queries[0] == CLASS_COUNT_QUERY
         assert any("SELECT DISTINCT ?class" in q for q in transport.queries)
@@ -95,7 +98,7 @@ class TestClassCounts:
     def test_row_cap_at_page_size_triggers_partitioned_path(self):
         cfg = EndpointConfig(name="FIX", url="http://fixture.invalid/sparql", page_size=1)
         transport = GraphTransport(PEOPLE_GRAPH, row_cap=1)
-        dist = class_counts(cfg, transport=transport)
+        dist = class_counts(SparqlClient(cfg, transport))
         assert dist.counts == {"http://example.org/Person": 2, "http://example.org/Work": 1}
 
     def test_timeout_on_direct_query_triggers_partitioned_path(self):
@@ -107,31 +110,63 @@ class TestClassCounts:
                     raise QueryTimeout("too slow")
                 return inner.select(url, query, timeout)
 
-        dist = class_counts(CFG, transport=TimeoutOnDirect())
+        dist = class_counts(SparqlClient(CFG, TimeoutOnDirect()))
         assert dist.counts == {"http://example.org/Person": 2, "http://example.org/Work": 1}
 
     def test_partitioned_equals_direct(self):
-        direct = class_counts(CFG, transport=GraphTransport(PEOPLE_GRAPH))
+        direct = class_counts(SparqlClient(CFG, GraphTransport(PEOPLE_GRAPH)))
         cfg = EndpointConfig(name="FIX", url="http://fixture.invalid/sparql", page_size=1)
-        partitioned = class_counts(cfg, transport=GraphTransport(PEOPLE_GRAPH, row_cap=1))
+        partitioned = class_counts(SparqlClient(cfg, GraphTransport(PEOPLE_GRAPH, row_cap=1)))
         assert direct == partitioned
+
+
+# Random graphs over few classes and properties, so keys repeat and their
+# count varies from none to a dozen on each side.
+graphs = st.lists(
+    st.tuples(
+        st.integers(0, 30),
+        st.sampled_from(["rdf:type"] + [f"http://example.org/p{i}" for i in range(6)]),
+        st.integers(0, 11),
+    ),
+    max_size=60,
+).map(lambda rows: [
+    (f"s{s}", p, f"http://example.org/C{o}" if p == "rdf:type" else f"o{o}")
+    for s, p, o in rows
+])
+
+
+class TestPartitionedProperty:
+    @given(graphs)
+    @settings(max_examples=100, deadline=None)
+    def test_row_capped_equals_direct_at_every_page_size(self, triples):
+        # page sizes below, at and above the key count: below it the capped
+        # direct answer falls back to partitioning, at it the enumeration
+        # ends on an empty page, above it the direct answer is complete
+        for harvest in (class_counts, property_counts):
+            direct = harvest(SparqlClient(CFG, GraphTransport(triples)))
+            for page in range(1, len(direct) + 2):
+                capped = harvest(SparqlClient(
+                    replace(CFG, page_size=page), GraphTransport(triples, row_cap=page)
+                ))
+                assert list(capped.counts.items()) == list(direct.counts.items())
+                assert capped.total == direct.total
 
 
 class TestPropertyCounts:
     def test_triples_per_predicate(self):
         triples = [("s1", "p", "o1"), ("s2", "p", "o2"), ("s3", "q", "o3")]
-        dist = property_counts(CFG, transport=GraphTransport(triples))
+        dist = property_counts(SparqlClient(CFG, GraphTransport(triples)))
         assert dist.counts == {"p": 2, "q": 1}
 
     def test_type_only_graph(self):
-        dist = property_counts(CFG, transport=GraphTransport(PEOPLE_GRAPH))
+        dist = property_counts(SparqlClient(CFG, GraphTransport(PEOPLE_GRAPH)))
         assert dist.counts == {"rdf:type": 3}
 
     def test_partitioned_equals_direct(self):
         triples = [(f"s{i}", f"p{i % 5}", f"o{i}") for i in range(40)]
-        direct = property_counts(CFG, transport=GraphTransport(triples))
+        direct = property_counts(SparqlClient(CFG, GraphTransport(triples)))
         cfg = EndpointConfig(name="FIX", url="http://fixture.invalid/sparql", page_size=2)
-        partitioned = property_counts(cfg, transport=GraphTransport(triples, row_cap=2))
+        partitioned = property_counts(SparqlClient(cfg, GraphTransport(triples, row_cap=2)))
         assert direct == partitioned
 
 
@@ -141,16 +176,16 @@ class TestSameasHostCounts:
             ("a", "owl:sameAs", "http://viaf.org/viaf/1"),
             ("b", "owl:sameAs", "http://viaf.org/viaf/2"),
         ]
-        dist = sameas_host_counts(CFG, transport=GraphTransport(triples))
+        dist = sameas_host_counts(SparqlClient(CFG, GraphTransport(triples)))
         assert dist.counts == {"viaf.org": 2}
 
     def test_https_host(self):
         triples = [("a", "owl:sameAs", "https://d-nb.info/gnd/x")]
-        dist = sameas_host_counts(CFG, transport=GraphTransport(triples))
+        dist = sameas_host_counts(SparqlClient(CFG, GraphTransport(triples)))
         assert dist.counts == {"d-nb.info": 1}
 
     def test_no_links(self):
-        dist = sameas_host_counts(CFG, transport=GraphTransport(PEOPLE_GRAPH))
+        dist = sameas_host_counts(SparqlClient(CFG, GraphTransport(PEOPLE_GRAPH)))
         assert dist.counts == {}
 
 
@@ -205,6 +240,17 @@ class TestClientBehavior:
         client.select(SAMEAS_HOST_QUERY)
         assert sleeps == [0.25, 0.25]
 
+    def test_politeness_delay_spans_every_harvest_of_a_profile(self):
+        cfg = replace(CFG, page_size=1, delay_ms=250)
+        graph = PEOPLE_GRAPH + [("x", "owl:sameAs", "http://viaf.org/viaf/1")]
+        transport = GraphTransport(graph, row_cap=1)
+        sleeps: list[float] = []
+        profile(SparqlClient(cfg, transport, sleep=sleeps.append))
+        # direct and partitioned class and property queries, then sameAs
+        assert transport.queries[-1] == SAMEAS_HOST_QUERY
+        assert len(transport.queries) > 3
+        assert sleeps == [0.25] * (len(transport.queries) - 1)
+
     def test_requests_are_strictly_sequential(self):
         cfg = EndpointConfig(name="FIX", url="http://fixture.invalid/sparql", delay_ms=10)
         inner = GraphTransport(PEOPLE_GRAPH)
@@ -219,7 +265,7 @@ class TestClientBehavior:
                 finally:
                     in_flight["now"] -= 1
 
-        profile(cfg, transport=Guard(), sleep=lambda _: None)
+        profile(SparqlClient(cfg, Guard(), sleep=lambda _: None))
         assert in_flight["max"] == 1
 
     def test_malformed_rows_raise_protocol_error(self):
@@ -230,7 +276,7 @@ class TestClientBehavior:
                 return SparqlResult(rows=[{"class": "x", "count": "not-a-number"}])
 
         with pytest.raises(ProtocolError):
-            class_counts(CFG, transport=Bad())
+            class_counts(SparqlClient(CFG, Bad()))
 
 
 class TestProfile:
@@ -241,7 +287,7 @@ class TestProfile:
             + [(f"t{i}", "rdf:type", "http://example.org/B") for i in range(4)]
             + [(f"u{i}", "rdf:type", "http://example.org/C") for i in range(4)]
         )
-        prof = profile(CFG, transport=GraphTransport(triples))
+        prof = profile(SparqlClient(CFG, GraphTransport(triples)))
         derived = prof.derived()["class"]
         assert derived.diversity == pytest.approx(2.8284, abs=5e-5)
         assert derived.richness == 3
@@ -252,7 +298,7 @@ class TestProfile:
 
     def test_single_class(self):
         triples = [("s", "rdf:type", "http://example.org/Only")]
-        prof = profile(CFG, transport=GraphTransport(triples))
+        prof = profile(SparqlClient(CFG, GraphTransport(triples)))
         derived = prof.derived()["class"]
         assert (derived.diversity, derived.richness, derived.ratio) == (1.0, 1, 1.0)
 
@@ -265,14 +311,14 @@ class TestProfile:
             for uri, n in counts.items()
             for i in range(n)
         ]
-        prof = profile(CFG, transport=GraphTransport(triples))
+        prof = profile(SparqlClient(CFG, GraphTransport(triples)))
         derived = prof.derived()["class"]
         assert round(derived.diversity, 1) == 2.1
         assert derived.richness == 5
         assert prof.to_dict()["derived"]["class"]["DR"] == 0.42
 
     def test_partial_when_sameas_unsupported(self):
-        prof = profile(CFG, transport=GraphTransport(PEOPLE_GRAPH, fail_sameas=True))
+        prof = profile(SparqlClient(CFG, GraphTransport(PEOPLE_GRAPH, fail_sameas=True)))
         assert prof.complete is False
         assert prof.sameas_hosts.counts == {}
         assert prof.classes.total == 3
@@ -280,7 +326,7 @@ class TestProfile:
     def test_derived_recomputable_from_stored_distributions(self):
         from metadiv.diversity import hill_diversity, richness
 
-        prof = profile(CFG, transport=GraphTransport(PEOPLE_GRAPH))
+        prof = profile(SparqlClient(CFG, GraphTransport(PEOPLE_GRAPH)))
         payload = prof.to_dict()
         for side, dist in (("class", prof.classes), ("property", prof.properties)):
             assert payload["derived"][side]["D"] == round(hill_diversity(dist, 1.0), 4)
@@ -290,7 +336,7 @@ class TestProfile:
             )
 
     def test_csv_layout(self):
-        prof = profile(CFG, transport=GraphTransport(PEOPLE_GRAPH))
+        prof = profile(SparqlClient(CFG, GraphTransport(PEOPLE_GRAPH)))
         text = profiles_to_csv([prof])
         lines = text.splitlines()
         assert lines[0] == "host,class_D,class_R,class_DR,prop_D,prop_R,prop_DR"
@@ -311,6 +357,31 @@ class TestShippedData:
         path.write_text(json.dumps([{"name": "X", "url": "http://x/sparql"}]))
         roster = load_roster(str(path))
         assert roster == [EndpointConfig(name="X", url="http://x/sparql")]
+
+    def test_roster_options_override_defaults(self, tmp_path):
+        path = tmp_path / "roster.json"
+        path.write_text(json.dumps([
+            {"name": "X", "url": "http://x/sparql", "page_size": "5", "timeout": 3,
+             "delay_ms": 7, "note": "ignored"},
+            {"name": "Y", "url": "http://y/sparql", "timeout": "2.5"},
+        ]))
+        assert load_roster(str(path)) == [
+            EndpointConfig(name="X", url="http://x/sparql", page_size=5, timeout=3.0,
+                           delay_ms=7),
+            EndpointConfig(name="Y", url="http://y/sparql", timeout=2.5),
+        ]
+
+    @pytest.mark.parametrize("entries, problem", [
+        ([{"name": "X", "url": "http://x/sparql"}, {"name": "Y"}], "entry 1 .*'url'"),
+        ([{"name": "X", "url": "http://x/sparql", "page_size": 0}], "entry 0 .*page size"),
+        (["http://x/sparql"], "entry 0"),
+    ])
+    def test_malformed_roster_names_file_and_entry(self, tmp_path, entries, problem):
+        path = tmp_path / "roster.json"
+        path.write_text(json.dumps(entries))
+        with pytest.raises(ValueError, match=problem) as err:
+            load_roster(str(path))
+        assert str(path) in str(err.value)
 
     def test_published_profiles_snapshot(self):
         rows = load_published_profiles()
@@ -376,7 +447,7 @@ def loopback_endpoint():
 class TestHttpTransport:
     def test_select_over_http(self, loopback_endpoint):
         cfg = EndpointConfig(name="LOOP", url=loopback_endpoint)
-        dist = class_counts(cfg, transport=HttpTransport())
+        dist = class_counts(SparqlClient(cfg, HttpTransport()))
         assert dist.counts == {"http://example.org/Person": 2, "http://example.org/Work": 1}
 
     def test_post_used_for_long_queries(self, loopback_endpoint):
