@@ -14,7 +14,6 @@ Parameters are kept in their valid region by projection onto the bounds.
 from __future__ import annotations
 
 import json
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -36,6 +35,8 @@ __all__ = [
 MAX_ITER = 500
 REL_PARAM_TOL = 1e-8
 REL_COST_TOL = 1e-10
+# Models ranked by compare_models, in the order they are fitted.
+COMPARED_KINDS = (ModelKind.M1, ModelKind.M2, ModelKind.M3, ModelKind.M4)
 
 
 class InsufficientDataError(ValueError):
@@ -195,11 +196,7 @@ def asymptote(fit: FitResult) -> float:
     return fit.params["D"]
 
 
-def compare_models(
-    curve: AccumulationCurve,
-    train_limit: int,
-    kinds: Sequence[ModelKind] = (ModelKind.M1, ModelKind.M2, ModelKind.M3, ModelKind.M4),
-) -> list[RankedModel]:
+def compare_models(curve: AccumulationCurve, train_limit: int) -> list[RankedModel]:
     """Fit each saturating model on n <= train_limit, rank by holdout RMSE.
 
     The holdout set is every point with n > train_limit; the returned list
@@ -213,7 +210,7 @@ def compare_models(
     hold_v = np.array([v for _, v in holdout], dtype=float)
 
     ranked = []
-    for kind in kinds:
+    for kind in COMPARED_KINDS:
         fit = fit_model(train, kind)
         pred = fit.predict(hold_n)
         rmse = float(np.sqrt(np.mean((hold_v - pred) ** 2)))

@@ -412,9 +412,6 @@ class LodProfile:
             },
         }
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
-
 
 def profile(client: SparqlClient) -> LodProfile:
     """Harvest one endpoint through ``client`` and derive its diversity summary.
@@ -470,7 +467,10 @@ def load_roster(path=None) -> list[EndpointConfig]:
         source = f"roster {path}"
         with open(path, encoding="utf-8") as f:
             text = f.read()
-    entries = json.loads(text)
+    try:
+        entries = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{source}: not valid JSON: {exc}") from exc
     if not isinstance(entries, list):
         raise ValueError(f"{source}: expected a JSON list of endpoints")
     roster = []

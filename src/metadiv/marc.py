@@ -13,8 +13,10 @@ from __future__ import annotations
 import gzip
 import logging
 import os
+from collections import Counter, defaultdict
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import accumulate, chain
 from xml.etree import ElementTree
 
 from .accumulation import CheckpointSchedule, diversity_growth, vocabulary_growth
@@ -44,6 +46,9 @@ FACETS = ("authors", "subjects", "subdivisions")
 _SUBFIELD_KINDS = {"x": "topical", "y": "chronological", "z": "geographical", "v": "form"}
 _BASE_KINDS = {"650": "topical", "651": "geographical"}
 _AUTHOR_TAGS = frozenset(AUTHOR_FIELDS)
+# A MARC record element has no namespace or the MARCXML one; other "record"
+# elements, such as OAI-PMH wrappers, are not read.
+_MARC_RECORD_TAGS = frozenset({"record", "{http://www.loc.gov/MARC21/slim}record"})
 
 
 def _normalize(text: str) -> str:
@@ -227,24 +232,24 @@ class RecordStream(Iterator[MarcView]):
         self._iter = self._walk()
 
     def _walk(self) -> Iterator[MarcView]:
-        # Start events only: a record is complete once the next one starts
-        # (or the document ends).  Each new record's container is then
-        # emptied, which drops the finished records, so memory stays flat
-        # however many records a file holds.
+        # Start events only: a record is complete once the next "record"
+        # element starts, MARC or not (or the document ends).  Each new one's
+        # container is then emptied, which drops the finished records, so
+        # memory stays flat however many records a file holds.
         names = self._names
         for source in self._sources:
             handle, name = _open(source)
             try:
                 events = ElementTree.iterparse(handle, events=("start",))
                 _, root = next(events)
-                pending = root if names[root.tag] == "record" else None
+                pending = root if root.tag in _MARC_RECORD_TAGS else None
                 for _, elem in events:
                     if names[elem.tag] == "record":
                         if pending is not None and (view := self._read(pending)):
                             yield view
                         if (container := _container(root, elem)) is not None:
                             del container[:]
-                        pending = elem
+                        pending = elem if elem.tag in _MARC_RECORD_TAGS else None
                 if pending is not None and (view := self._read(pending)):
                     yield view
             except ElementTree.ParseError as exc:
@@ -331,10 +336,11 @@ def facet_series(
     when no record carries a year.
     """
     order = _check_order(order)
-    events: list[tuple[int, str]] = []
-    missing = 0
-    structured = 0
-    split = 0
+    # Per-year label counts in first-arrival order.  Checkpoints fall only at
+    # year ends, so expanding each bucket in turn gives every checkpoint the
+    # same counts and label ids as the whole event list in year order.
+    buckets: defaultdict[int, Counter[str]] = defaultdict(Counter)
+    missing = structured = split = 0
     for view in records:
         for h in view.headings:
             if h.structured:
@@ -344,28 +350,21 @@ def facet_series(
         if view.entry_year is None:
             missing += 1
             continue
-        for value in _facet_values(view, facet):
-            events.append((view.entry_year, value))
-    if not events:
-        raise ValueError(
-            f"no records with a catalog-entry year carry facet {facet!r}"
-        )
+        values = _facet_values(view, facet)
+        if values:
+            buckets[view.entry_year].update(values)
+    if not buckets:
+        raise ValueError(f"no records with a catalog-entry year carry facet {facet!r}")
 
-    events.sort(key=lambda pair: pair[0])  # stable: keeps arrival order per year
-    years = sorted({year for year, _ in events})
-    boundaries = []
-    count = 0
-    index = {}
-    for year, _ in events:
-        count += 1
-        index[year] = count
-    boundaries = [index[y] for y in years]
+    years = sorted(buckets)
+    ends = list(accumulate(buckets[year].total() for year in years))
+    schedule = CheckpointSchedule.explicit(ends)
 
-    labels = [label for _, label in events]
-    schedule = CheckpointSchedule.explicit(boundaries)
-    rich_curve = vocabulary_growth(labels, schedule).with_years(years)
-    div_curve = diversity_growth(labels, schedule, order).with_years(years)
+    def events() -> Iterator[str]:
+        return chain.from_iterable(buckets[year].elements() for year in years)
 
+    rich_curve = vocabulary_growth(events(), schedule)
+    div_curve = diversity_growth(events(), schedule, order)
     rows = tuple(
         (year, int(rich), div)
         for year, (_, rich), (_, div) in zip(years, rich_curve.points, div_curve.points)
@@ -374,7 +373,7 @@ def facet_series(
         facet=facet,
         order=order,
         rows=rows,
-        total_events=len(events),
+        total_events=ends[-1],
         missing_year=missing,
         structured_headings=structured,
         split_headings=split,

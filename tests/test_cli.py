@@ -266,10 +266,11 @@ class TestLod:
     @pytest.mark.parametrize("entries", [
         [{"url": "http://x.invalid/sparql"}],               # entry without a name
         {"name": "X", "url": "http://x.invalid/sparql"},    # object, not a list
+        pytest.param('[{"name": "X",', id="truncated"),      # not valid JSON
     ])
     def test_malformed_roster_exits_one(self, tmp_path, capsys, entries):
         roster = tmp_path / "r.json"
-        roster.write_text(json.dumps(entries))
+        roster.write_text(entries if isinstance(entries, str) else json.dumps(entries))
         code = cli.main(["lod", "--roster", str(roster)],
                         transport=GraphTransport(PEOPLE_GRAPH))
         assert code == cli.EXIT_INPUT

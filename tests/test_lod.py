@@ -375,10 +375,11 @@ class TestShippedData:
         ([{"name": "X", "url": "http://x/sparql"}, {"name": "Y"}], "entry 1 .*'url'"),
         ([{"name": "X", "url": "http://x/sparql", "page_size": 0}], "entry 0 .*page size"),
         (["http://x/sparql"], "entry 0"),
+        pytest.param('[{"name": "X",', "not valid JSON: ", id="truncated"),
     ])
     def test_malformed_roster_names_file_and_entry(self, tmp_path, entries, problem):
         path = tmp_path / "roster.json"
-        path.write_text(json.dumps(entries))
+        path.write_text(entries if isinstance(entries, str) else json.dumps(entries))
         with pytest.raises(ValueError, match=problem) as err:
             load_roster(str(path))
         assert str(path) in str(err.value)
@@ -442,6 +443,7 @@ def loopback_endpoint():
     yield f"http://127.0.0.1:{server.server_address[1]}/sparql"
     server.shutdown()
     thread.join()
+    server.server_close()
 
 
 class TestHttpTransport:

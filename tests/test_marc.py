@@ -16,10 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metadiv.accumulation import CheckpointSchedule, diversity_growth, vocabulary_growth
 from metadiv.diversity import FrequencyDistribution, hill_diversity
 from metadiv.marc import (
     EXTENDED_SUBJECT_FIELDS,
+    FACETS,
     SUBJECT_FIELDS,
+    FacetSeries,
     MarcView,
     SubjectHeading,
     entry_year,
@@ -180,6 +183,15 @@ class TestParseRecords:
         assert heading.descriptor == "Spain--History"
         assert heading.subdivisions[0] == ("geographical", "Spain")
 
+    @pytest.mark.parametrize("decl", ["", f' xmlns="{MARC_NS}"'], ids=["plain", "marc-ns"])
+    def test_oai_pmh_wrappers_are_not_records(self, decl, caplog):
+        records = [marc_record(f"r{i}", "850315", authors=("A",)) for i in range(50)]
+        stream = parse_records(io.BytesIO(_enveloped(records, "oai", decl=decl)))
+        with caplog.at_level(logging.WARNING, logger="metadiv.marc"):
+            assert [v.record_id for v in stream] == [f"r{i}" for i in range(50)]
+        assert (stream.records, stream.skipped) == (50, 0)
+        assert caplog.records == []
+
 
 class TestSourcePaths:
     def test_path_object(self, tmp_path):
@@ -210,11 +222,7 @@ class TestSourcePaths:
 
 class TestStreamingMemory:
     @pytest.mark.parametrize("shape", ["collection", "container", "oai"])
-    def test_memory_independent_of_catalog_size(self, shape, caplog):
-        # Each OAI-PMH record is also a "record" without 001, skipped with a
-        # warning; captured warnings would grow with the catalog.
-        caplog.set_level(logging.ERROR, logger="metadiv.marc")
-
+    def test_memory_independent_of_catalog_size(self, shape):
         def peak(n_records: int) -> int:
             records = [marc_record(f"r{i:06d}", "850315", authors=(f"Author {i % 97}",),
                                    subjects=((("a", "Art"), ("x", "History")),))
@@ -233,6 +241,30 @@ class TestStreamingMemory:
         # bytes a record, 280 KB more for the larger catalog.  Emptying only
         # the document root left the records of an envelope attached.
         small, large = peak(500), peak(4_000)
+        assert large <= small + 32 * 1024
+
+    @pytest.mark.parametrize("facet", FACETS)
+    def test_facet_series_memory_independent_of_catalog_size(self, facet):
+        def peak(n_records: int) -> int:
+            # Five years; 31 authors and 13 topics, each one seen in every
+            # year by 500 records already.
+            data = marc_collection(*(
+                marc_record(f"r{i:06d}", f"{80 + i % 5:02d}0315", authors=(f"Author {i % 31}",),
+                            subjects=((("a", f"Topic {i % 13}"), ("x", "History")),))
+                for i in range(n_records)))
+            tracemalloc.start()
+            try:
+                series = facet_series(parse_records(io.BytesIO(data)), facet)
+                assert [year for year, _, _ in series.rows] == [1980, 1981, 1982, 1983, 1984]
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # The first run at a new size may peak up to ~70 KB higher, from
+        # one-off allocations inside the interpreter; the lower of two runs
+        # is the steady state.  Keeping one (year, label) event per facet
+        # value would add about 490 KB for the larger catalog.
+        small, large = (min(peak(n), peak(n)) for n in (500, 4_000))
         assert large <= small + 32 * 1024
 
 
@@ -269,7 +301,8 @@ class TestTruncatedCollection:
 
 # --- reference: the end-event record walk with per-element namespace
 # stripping and regex normalization, as this module read MARCXML before it
-# switched to start events ----------------------------------------------------
+# switched to start events; it reads the records in the MARC namespace or in
+# none -------------------------------------------------------------------------
 
 _REF_WS_RE = re.compile(r"\s+")
 
@@ -340,7 +373,7 @@ def _ref_parse(data, extended_subjects):
     fields = EXTENDED_SUBJECT_FIELDS if extended_subjects else SUBJECT_FIELDS
     views, warnings, records, skipped = [], [], 0, 0
     for _, elem in ElementTree.iterparse(io.BytesIO(data), events=("end",)):
-        if _ref_localname(elem.tag) != "record":
+        if elem.tag not in ("record", f"{{{MARC_NS}}}record"):
             continue
         try:
             view = _ref_record_to_view(elem, fields)
@@ -458,12 +491,7 @@ class TestRecordWalkOracle:
         finally:
             logger.removeHandler(handler)
         assert (stream.records, stream.skipped) == (records, skipped)
-        if OAI_NS.encode() in data:
-            # An OAI-PMH record is read when the MARC record inside it starts,
-            # so its warning comes first; the reference logs it last.
-            assert sorted(handler.messages) == sorted(warnings)
-        else:
-            assert handler.messages == warnings
+        assert handler.messages == warnings
 
 
 def catalog(entries):
@@ -601,3 +629,70 @@ class TestFacetSeries:
         whole = facet_series(parse_records(io.BytesIO(xml)), "subjects")
         split = facet_series(parse_records(io.BytesIO(xml)), "subdivisions")
         assert split.rows[-1][1] <= whole.rows[-1][1] * max_parts
+
+
+# --- reference: facet series from one (year, label) event per facet value,
+# stably sorted by year, as this module computed them before it counted the
+# labels in per-year buckets ---------------------------------------------------
+
+
+def _ref_facet_series(records, facet, order):
+    order = float(order)
+    events = []
+    missing = structured = split = 0
+    for view in records:
+        structured += sum(h.structured for h in view.headings)
+        split += sum(not h.structured for h in view.headings)
+        if view.entry_year is None:
+            missing += 1
+            continue
+        if facet == "authors":
+            values = list(view.authors)
+        elif facet == "subjects":
+            values = [h.descriptor for h in view.headings]
+        else:
+            values = [text for h in view.headings for text in h.texts]
+        events.extend((view.entry_year, value) for value in values)
+    if not events:
+        raise ValueError(f"no records with a catalog-entry year carry facet {facet!r}")
+    events.sort(key=lambda pair: pair[0])  # stable: keeps arrival order per year
+    years = sorted({year for year, _ in events})
+    index = {year: n for n, (year, _) in enumerate(events, 1)}
+    labels = [label for _, label in events]
+    schedule = CheckpointSchedule.explicit([index[year] for year in years])
+    rich = vocabulary_growth(labels, schedule)
+    div = diversity_growth(labels, schedule, order)
+    rows = tuple((year, int(r), d) for year, (_, r), (_, d) in zip(years, rich.points, div.points))
+    return FacetSeries(facet, order, rows, len(events), missing, structured, split)
+
+
+# Few labels, so they repeat within and across years; years out of order or
+# missing; records with no authors or no headings.
+_labels = st.sampled_from(["Ann", "Bo", "Cy", "Di", "Ed"])
+_headings = st.builds(
+    SubjectHeading,
+    st.lists(st.tuples(st.sampled_from(["topical", "other"]), _labels),
+             min_size=1, max_size=3).map(tuple),
+    st.booleans(),
+)
+_views = st.builds(
+    MarcView,
+    st.just("r"),
+    st.sampled_from([None, 2003, 1999, 2010, 2001]),
+    st.lists(_labels, max_size=4).map(tuple),
+    st.lists(_headings, max_size=3).map(tuple),
+)
+
+
+class TestFacetSeriesOracle:
+    @settings(max_examples=300)
+    @given(st.lists(_views, max_size=30), st.sampled_from(FACETS),
+           st.sampled_from([0, 0.5, 1, 2, 3.7]))
+    def test_equals_sort_based_reference(self, views, facet, order):
+        try:
+            expected = _ref_facet_series(views, facet, order)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                facet_series(iter(views), facet, order)
+        else:
+            assert facet_series(iter(views), facet, order) == expected
