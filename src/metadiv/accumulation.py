@@ -32,13 +32,11 @@ __all__ = [
 class CheckpointSchedule:
     """Positions at which a growth statistic is sampled.
 
-    Modes: ``every`` (every m-th event), ``logarithmic`` (a fixed number of
-    points per decade), or ``explicit`` (a caller-supplied list).  All modes
-    yield strictly increasing positions; the consumer appends a final
-    checkpoint at the stream end when the schedule does not land on it.
+    Built by ``every`` (every m-th event) or ``explicit`` (a caller-supplied
+    list).  Both yield strictly increasing positions; the consumer appends a
+    final checkpoint at the stream end when the schedule does not land on it.
     """
 
-    mode: str
     step: int = 0
     points: tuple[int, ...] = ()
 
@@ -46,13 +44,7 @@ class CheckpointSchedule:
     def every(cls, step: int) -> CheckpointSchedule:
         if step < 1:
             raise ValueError("checkpoint step must be >= 1")
-        return cls(mode="every", step=step)
-
-    @classmethod
-    def logarithmic(cls, per_decade: int = 20) -> CheckpointSchedule:
-        if per_decade < 1:
-            raise ValueError("points per decade must be >= 1")
-        return cls(mode="logarithmic", step=per_decade)
+        return cls(step=step)
 
     @classmethod
     def explicit(cls, points: Sequence[int]) -> CheckpointSchedule:
@@ -61,43 +53,22 @@ class CheckpointSchedule:
             raise ValueError("checkpoints must be >= 1")
         if any(b <= a for a, b in zip(pts, pts[1:])):
             raise ValueError("checkpoints must be strictly increasing")
-        return cls(mode="explicit", points=pts)
+        return cls(points=pts)
 
     def positions(self) -> Iterator[int]:
-        """Unbounded (or explicit) strictly increasing checkpoint positions."""
-        if self.mode == "every":
-            n = self.step
-            while True:
-                yield n
-                n += self.step
-        elif self.mode == "logarithmic":
-            last = 0
-            i = 0
-            while True:
-                n = int(round(10 ** (i / self.step)))
-                i += 1
-                if n > last:
-                    yield n
-                    last = n
-        elif self.mode == "explicit":
-            yield from self.points
-        else:  # pragma: no cover - constructors prevent this
-            raise ValueError(f"unknown schedule mode {self.mode!r}")
+        """Unbounded (``every``) or explicit strictly increasing positions."""
+        return count(self.step, self.step) if self.step else iter(self.points)
 
 
 @dataclass(frozen=True)
 class AccumulationCurve:
     """Ordered (n, value) checkpoints of a growing statistic.
 
-    ``statistic`` is one of ``type-count``, ``richness`` or ``diversity``;
-    for diversity curves ``order`` carries the Hill order.  ``years`` is an
-    optional auxiliary column used by year-bucketed catalog series.
+    ``statistic`` is ``type-count`` or ``diversity``.
     """
 
     points: tuple[tuple[int, float], ...]
     statistic: str = "diversity"
-    order: float | None = None
-    years: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         ns = [n for n, _ in self.points]
@@ -105,8 +76,6 @@ class AccumulationCurve:
             raise ValueError("checkpoint positions must be >= 1")
         if any(b <= a for a, b in zip(ns, ns[1:])):
             raise ValueError("checkpoint positions must be strictly increasing")
-        if self.years is not None and len(self.years) != len(self.points):
-            raise ValueError("years column must match the number of points")
 
     def __len__(self) -> int:
         return len(self.points)
@@ -119,27 +88,22 @@ class AccumulationCurve:
     def values(self) -> np.ndarray:
         return np.array([v for _, v in self.points], dtype=float)
 
-    def with_years(self, years: Sequence[int]) -> AccumulationCurve:
-        return replace(self, years=tuple(int(y) for y in years))
-
     def truncated(self, n_max: int) -> AccumulationCurve:
         """Sub-curve of checkpoints with n <= n_max."""
-        keep = [i for i, (n, _) in enumerate(self.points) if n <= n_max]
-        years = tuple(self.years[i] for i in keep) if self.years is not None else None
-        return replace(self, points=tuple(self.points[i] for i in keep), years=years)
+        return replace(self, points=tuple((n, v) for n, v in self.points if n <= n_max))
 
     def to_csv(self) -> str:
-        """Plot-data serialization with header ``n,value[,year]``.
+        """Plot-data serialization with header ``n,value``.
 
         Type counts are written as integers, other statistics with four
         decimals.
         """
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["n", "value"] if self.years is None else ["n", "value", "year"])
-        for i, (n, v) in enumerate(self.points):
+        writer.writerow(["n", "value"])
+        for n, v in self.points:
             value = str(int(v)) if self.statistic == "type-count" else f"{v:.4f}"
-            writer.writerow([n, value] if self.years is None else [n, value, self.years[i]])
+            writer.writerow([n, value])
         return buf.getvalue()
 
     def write_csv(self, path) -> None:
@@ -148,9 +112,10 @@ class AccumulationCurve:
 
     @classmethod
     def from_csv(cls, source) -> AccumulationCurve:
-        """Parse a ``n,value[,year]`` CSV (path or file-like).
+        """Parse a CSV (path or file-like) with header ``n,value``.
 
-        A curve whose values are all integers is read back as a type count.
+        Columns after the first two are ignored.  A curve whose values are
+        all integers is read back as a type count.
         """
         if hasattr(source, "read"):
             rows = list(csv.reader(source))
@@ -159,16 +124,14 @@ class AccumulationCurve:
                 rows = list(csv.reader(f))
         rows = [r for r in rows if r]
         if not rows or rows[0][:2] != ["n", "value"]:
-            raise ValueError("curve CSV must start with an 'n,value[,year]' header")
-        has_year = len(rows[0]) >= 3 and rows[0][2] == "year"
+            raise ValueError("curve CSV must start with an 'n,value' header")
+        for r in rows[1:]:
+            if len(r) < 2:
+                raise ValueError(f"curve CSV row {','.join(r)!r} needs an n and a value")
         points = tuple((int(r[0]), float(r[1])) for r in rows[1:])
         # ``to_csv`` writes type counts, and only them, as bare integers.
         counted = bool(points) and all(r[1].isdigit() for r in rows[1:])
-        return cls(
-            points=points,
-            statistic="type-count" if counted else "diversity",
-            years=tuple(int(r[2]) for r in rows[1:]) if has_year else None,
-        )
+        return cls(points=points, statistic="type-count" if counted else "diversity")
 
 
 _FLUSH_EVENTS = 4096  # ids reach the counts at least this often: O(types) memory
@@ -223,4 +186,4 @@ def diversity_growth(
 ) -> AccumulationCurve:
     """Hill diversity of the first n events, per checkpoint, in one pass."""
     order = _check_order(order)
-    return AccumulationCurve(_growth(events, schedule, order), statistic="diversity", order=order)
+    return AccumulationCurve(_growth(events, schedule, order), statistic="diversity")

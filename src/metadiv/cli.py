@@ -58,7 +58,7 @@ def build_parser() -> _Parser:
     p_lex.set_defaults(func=_run_lexdiv)
 
     p_fit = sub.add_parser("fit", help="fit a growth model to a saved n,value curve")
-    p_fit.add_argument("curve", help="CSV file with header n,value[,year]")
+    p_fit.add_argument("curve", help="CSV file with header n,value")
     p_fit.add_argument("--model", required=True, choices=("m1", "m2", "m3", "m4", "power"))
     p_fit.add_argument("--train", type=int, default=None,
                        help="also rank all saturating models by holdout RMSE past this n")

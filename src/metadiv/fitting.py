@@ -13,7 +13,6 @@ Parameters are kept in their valid region by projection onto the bounds.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -35,8 +34,6 @@ __all__ = [
 MAX_ITER = 500
 REL_PARAM_TOL = 1e-8
 REL_COST_TOL = 1e-10
-# Models ranked by compare_models, in the order they are fitted.
-COMPARED_KINDS = (ModelKind.M1, ModelKind.M2, ModelKind.M3, ModelKind.M4)
 
 
 class InsufficientDataError(ValueError):
@@ -72,9 +69,6 @@ class FitResult:
             "n_points": self.n_points,
             "converged": self.converged,
         }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
 
 
 class RankedModel(NamedTuple):
@@ -210,7 +204,7 @@ def compare_models(curve: AccumulationCurve, train_limit: int) -> list[RankedMod
     hold_v = np.array([v for _, v in holdout], dtype=float)
 
     ranked = []
-    for kind in COMPARED_KINDS:
+    for kind in SATURATING:
         fit = fit_model(train, kind)
         pred = fit.predict(hold_n)
         rmse = float(np.sqrt(np.mean((hold_v - pred) ** 2)))

@@ -257,6 +257,8 @@ def _counts_from_rows(
         try:
             key = row[key_var]
             count = int(row["count"])
+            if count < 0:
+                raise ValueError("negative count")
         except (KeyError, ValueError) as exc:
             raise ProtocolError(f"malformed count row {row!r}: {exc}") from exc
         if key == "":

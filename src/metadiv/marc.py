@@ -205,6 +205,20 @@ def _container(
     return None
 
 
+def _start_events(handle) -> Iterator[tuple[str, ElementTree.Element]]:
+    """Start events of the document in ``handle``, as ``iterparse`` gives them.
+
+    The iterator ``iterparse`` returns is a reference cycle that keeps its
+    parser until a garbage collection; this generator frees it when dropped.
+    """
+    parser = ElementTree.XMLPullParser(events=("start",))
+    while data := handle.read(16 * 1024):  # the chunk size iterparse reads
+        parser.feed(data)
+        yield from parser.read_events()
+    parser.close()
+    yield from parser.read_events()
+
+
 def _open(source):
     """(binary handle, name for messages) of a path or file-like source."""
     if hasattr(source, "read"):
@@ -240,7 +254,7 @@ class RecordStream(Iterator[MarcView]):
         for source in self._sources:
             handle, name = _open(source)
             try:
-                events = ElementTree.iterparse(handle, events=("start",))
+                events = _start_events(handle)
                 _, root = next(events)
                 pending = root if root.tag in _MARC_RECORD_TAGS else None
                 for _, elem in events:
@@ -297,9 +311,7 @@ def _facet_values(view: MarcView, facet: str) -> list[str]:
         return list(view.authors)
     if facet == "subjects":
         return [h.descriptor for h in view.headings]
-    if facet == "subdivisions":
-        return [text for h in view.headings for text in h.texts]
-    raise ValueError(f"unknown facet {facet!r}; expected one of {FACETS}")
+    return [text for h in view.headings for text in h.texts]  # subdivisions
 
 
 @dataclass(frozen=True)
@@ -333,8 +345,11 @@ def facet_series(
 
     Each record contributes one event per facet value; records without a
     decodable entry year are excluded and counted.  Raises ``ValueError``
-    when no record carries a year.
+    for an unknown facet, before reading any record, and when no record
+    carries a year.
     """
+    if facet not in FACETS:
+        raise ValueError(f"unknown facet {facet!r}; expected one of {FACETS}")
     order = _check_order(order)
     # Per-year label counts in first-arrival order.  Checkpoints fall only at
     # year ends, so expanding each bucket in turn gives every checkpoint the

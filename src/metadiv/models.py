@@ -39,7 +39,8 @@ PARAM_NAMES: dict[ModelKind, tuple[str, ...]] = {
     ModelKind.M4: ("D", "c", "alpha"),
 }
 
-SATURATING = frozenset({ModelKind.M1, ModelKind.M2, ModelKind.M3, ModelKind.M4})
+# The saturating models, in the order compare_models fits them and breaks ties.
+SATURATING = (ModelKind.M1, ModelKind.M2, ModelKind.M3, ModelKind.M4)
 
 # Projection floors for the solver: D, c, alpha stay strictly positive,
 # b may reach zero (M3 contains M2 on that boundary).

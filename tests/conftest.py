@@ -187,6 +187,21 @@ class FlakyTransport:
         return self.inner.select(url, query, timeout)
 
 
+class NegatedCounts:
+    """Answers ``query`` with every count negated; other queries unchanged."""
+
+    def __init__(self, inner, query: str) -> None:
+        self.inner = inner
+        self.query = query
+
+    def select(self, url: str, query: str, timeout: float) -> SparqlResult:
+        result = self.inner.select(url, query, timeout)
+        if query != self.query:
+            return result
+        rows = [{**row, "count": f"-{row['count']}"} for row in result.rows]
+        return SparqlResult(rows=rows, truncated=result.truncated)
+
+
 PEOPLE_GRAPH = [
     ("x", "rdf:type", "http://example.org/Person"),
     ("y", "rdf:type", "http://example.org/Person"),

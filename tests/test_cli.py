@@ -12,7 +12,8 @@ import pytest
 from metadiv import cli, lod
 from metadiv.models import ModelKind, eval_model
 
-from .conftest import PEOPLE_GRAPH, FlakyTransport, GraphTransport, marc_collection, marc_record
+from .conftest import (PEOPLE_GRAPH, FlakyTransport, GraphTransport, NegatedCounts, marc_collection,
+                       marc_record)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -158,11 +159,31 @@ class TestFit:
         assert set(ranked) == {"m1", "m2", "m3", "m4"}
         assert payload["comparison"][0]["holdout_rmse"] <= payload["comparison"][-1]["holdout_rmse"]
 
+    def test_year_column_ignored(self, m2_curve_file, capsys):
+        with_years = ["n,value,year"] + [
+            f"{row},{2000 + i}"
+            for i, row in enumerate(Path(m2_curve_file).read_text().splitlines()[1:])
+        ]
+        Path("years.csv").write_text("\n".join(with_years) + "\n")
+        argv = ["--model", "m4", "--train", "10000"]
+        code, out, _ = run_twice(["fit", m2_curve_file, *argv], capsys)
+        code_years, out_years, _ = run_twice(["fit", "years.csv", *argv], capsys)
+        assert code == code_years == cli.EXIT_OK
+        assert out_years == out
+
     def test_bad_curve_exits_one(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "bad.csv").write_text("nope\n1,2\n")
         assert cli.main(["fit", "bad.csv", "--model", "m2"]) == cli.EXIT_INPUT
         capsys.readouterr()
+
+    def test_short_row_exits_one(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "short.csv").write_text("n,value\n1,1.0\n2\n")
+        assert cli.main(["fit", "short.csv", "--model", "m2"]) == cli.EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("input error:") and "'2'" in err
 
 
 class TestMarc:
@@ -277,6 +298,16 @@ class TestLod:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("input error:") and str(roster) in err
+
+    @pytest.mark.parametrize("harvest", [lod.CLASS_COUNT_QUERY, lod.PROPERTY_COUNT_QUERY],
+                             ids=["class", "property"])
+    def test_negative_count_exits_two(self, fixture_roster, capsys, harvest):
+        code = cli.main(["lod", "--roster", fixture_roster],
+                        transport=NegatedCounts(GraphTransport(PEOPLE_GRAPH), harvest))
+        assert code == cli.EXIT_TRANSPORT
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("transport error:") and "negative count" in err
 
     def test_transport_failure_exits_two(self, fixture_roster, capsys, monkeypatch):
         monkeypatch.setattr(lod, "BACKOFF_BASE_SECONDS", 0)

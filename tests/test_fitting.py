@@ -157,7 +157,7 @@ class TestCompareModels:
 class TestFitResultSerialization:
     def test_json_fields(self):
         fit = fit_model(synthetic_curve(ModelKind.M2, (50.0, 1000.0)), ModelKind.M2)
-        payload = json.loads(fit.to_json())
+        payload = json.loads(json.dumps(fit.to_dict()))
         assert payload.keys() == {"kind", "params", "residual", "n_points", "converged"}
         assert payload["kind"] == "m2"
         assert payload["params"].keys() == set(PARAM_NAMES[ModelKind.M2])

@@ -33,7 +33,7 @@ from metadiv.lod import (
     sameas_host_counts,
 )
 
-from .conftest import PEOPLE_GRAPH, FlakyTransport, GraphTransport
+from .conftest import PEOPLE_GRAPH, FlakyTransport, GraphTransport, NegatedCounts
 
 CFG = EndpointConfig(name="FIX", url="http://fixture.invalid/sparql")
 
@@ -319,6 +319,14 @@ class TestProfile:
 
     def test_partial_when_sameas_unsupported(self):
         prof = profile(SparqlClient(CFG, GraphTransport(PEOPLE_GRAPH, fail_sameas=True)))
+        assert prof.complete is False
+        assert prof.sameas_hosts.counts == {}
+        assert prof.classes.total == 3
+
+    def test_partial_when_sameas_counts_negative(self):
+        graph = PEOPLE_GRAPH + [("x", "owl:sameAs", "http://viaf.org/viaf/1")]
+        transport = NegatedCounts(GraphTransport(graph), SAMEAS_HOST_QUERY)
+        prof = profile(SparqlClient(CFG, transport))
         assert prof.complete is False
         assert prof.sameas_hosts.counts == {}
         assert prof.classes.total == 3

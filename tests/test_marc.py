@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import gzip
 import io
 import logging
@@ -266,6 +267,20 @@ class TestStreamingMemory:
         # value would add about 490 KB for the larger catalog.
         small, large = (min(peak(n), peak(n)) for n in (500, 4_000))
         assert large <= small + 32 * 1024
+
+    def test_parser_state_freed_without_garbage_collection(self):
+        records = [marc_record(f"r{i:06d}", "850315", authors=(f"Author {i % 97}",))
+                   for i in range(2_000)]
+        data = marc_collection(*records)
+        gc.collect()
+        gc.disable()
+        try:
+            stream = parse_records(io.BytesIO(data))
+            assert sum(1 for _ in stream) == 2_000
+            del stream
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestTruncatedCollection:
@@ -549,9 +564,12 @@ class TestFacetSeries:
             facet_series(parse_records(io.BytesIO(xml)), "authors")
 
     def test_unknown_facet_rejected(self):
+        # The facet is checked before any record is read, so no records at
+        # all give the same error.
         xml = catalog([("r1", 2001, ["A"])])
-        with pytest.raises(ValueError):
-            facet_series(parse_records(io.BytesIO(xml)), "languages")
+        for records in (parse_records(io.BytesIO(xml)), []):
+            with pytest.raises(ValueError, match="^unknown facet 'languages'"):
+                facet_series(records, "languages")
 
     def test_richness_non_decreasing(self):
         rng = np.random.default_rng(17)
