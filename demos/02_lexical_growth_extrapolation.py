@@ -57,6 +57,7 @@ for ranked in compare_models(diversity, train_limit=10_000):
 
 # Plot-ready CSVs for external tooling.
 os.makedirs("demo_output", exist_ok=True)
-vocab.write_csv("demo_output/vocabulary_growth.csv")
-diversity.write_csv("demo_output/diversity_growth.csv")
+for curve, name in ((vocab, "vocabulary_growth"), (diversity, "diversity_growth")):
+    with open(f"demo_output/{name}.csv", "w", encoding="utf-8", newline="") as f:
+        f.write(curve.to_csv())
 print("\nwrote demo_output/vocabulary_growth.csv and demo_output/diversity_growth.csv")

@@ -29,7 +29,7 @@ from .fitting import (
     fit_power_law,
 )
 from .models import ModelKind, eval_model, model_gradient
-from .text import LexicalReport, TokenStream, lexical_report, pearson_r, tokenize
+from .text import LexicalReport, lexical_report, pearson_r, tokenize
 
 __version__ = "0.1.0"
 
@@ -42,7 +42,6 @@ __all__ = [
     "LexicalReport",
     "ModelKind",
     "RankedModel",
-    "TokenStream",
     "asymptote",
     "compare_models",
     "diversity_growth",

@@ -106,32 +106,43 @@ class AccumulationCurve:
             writer.writerow([n, value])
         return buf.getvalue()
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as f:
-            f.write(self.to_csv())
-
     @classmethod
     def from_csv(cls, source) -> AccumulationCurve:
         """Parse a CSV (path or file-like) with header ``n,value``.
 
         Columns after the first two are ignored.  A curve whose values are
-        all integers is read back as a type count.
+        all integers is read back as a type count.  An error names the
+        source and the line of the bad row (the header is line 1).
         """
         if hasattr(source, "read"):
-            rows = list(csv.reader(source))
-        else:
-            with open(source, encoding="utf-8", newline="") as f:
-                rows = list(csv.reader(f))
-        rows = [r for r in rows if r]
-        if not rows or rows[0][:2] != ["n", "value"]:
-            raise ValueError("curve CSV must start with an 'n,value' header")
-        for r in rows[1:]:
-            if len(r) < 2:
-                raise ValueError(f"curve CSV row {','.join(r)!r} needs an n and a value")
-        points = tuple((int(r[0]), float(r[1])) for r in rows[1:])
-        # ``to_csv`` writes type counts, and only them, as bare integers.
-        counted = bool(points) and all(r[1].isdigit() for r in rows[1:])
-        return cls(points=points, statistic="type-count" if counted else "diversity")
+            return cls._read_csv(source, getattr(source, "name", "curve CSV"))
+        with open(source, encoding="utf-8", newline="") as f:
+            return cls._read_csv(f, source)
+
+    @classmethod
+    def _read_csv(cls, f, name) -> AccumulationCurve:
+        reader = csv.reader(f)
+        rows = filter(None, reader)  # blank lines are skipped
+        if next(rows, [])[:2] != ["n", "value"]:
+            raise ValueError(f"{name}: the header must be 'n,value'")
+        points: list[tuple[int, float]] = []
+        counted = True  # ``to_csv`` writes type counts, and only them, as bare integers
+        last = 0
+        try:
+            for r in rows:
+                if len(r) < 2:
+                    raise ValueError(f"row {','.join(r)!r} needs an n and a value")
+                n = int(r[0])
+                if n <= last:
+                    raise ValueError(f"n {n} is below 1" if n < 1 else
+                                     f"n {n} does not exceed the previous n {last}")
+                points.append((n, float(r[1])))
+                counted = counted and r[1].isdigit()
+                last = n
+        except ValueError as exc:
+            raise ValueError(f"{name}, line {reader.line_num}: {exc}") from None
+        statistic = "type-count" if counted and points else "diversity"
+        return cls(points=tuple(points), statistic=statistic)
 
 
 _FLUSH_EVENTS = 4096  # ids reach the counts at least this often: O(types) memory

@@ -16,6 +16,7 @@ import os
 import sys
 
 from .accumulation import AccumulationCurve, CheckpointSchedule
+from .diversity import _check_order
 from .fitting import ModelKind, compare_models, fit_model, fit_power_law
 from .lod import (HarvestError, SparqlClient, SparqlTransport, load_roster, profile,
                   profiles_to_csv)
@@ -59,7 +60,7 @@ def build_parser() -> _Parser:
 
     p_fit = sub.add_parser("fit", help="fit a growth model to a saved n,value curve")
     p_fit.add_argument("curve", help="CSV file with header n,value")
-    p_fit.add_argument("--model", required=True, choices=("m1", "m2", "m3", "m4", "power"))
+    p_fit.add_argument("--model", required=True, choices=sorted(kind.value for kind in ModelKind))
     p_fit.add_argument("--train", type=int, default=None,
                        help="also rank all saturating models by holdout RMSE past this n")
     p_fit.add_argument("--output", help="write to this path instead of stdout")
@@ -104,28 +105,28 @@ def _curve_stem(path: str) -> str:
 
 def _run_lexdiv(args, transport) -> int:
     schedule = CheckpointSchedule.every(args.every)
+    order = _check_order(args.order)  # checked here so its error names no document
     reports = []
     for path in args.files:
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
-        doc = tokenize(text, source_id=path)
-        reports.append(lexical_report(doc, args.order, schedule, args.train))
+        try:
+            with open(path, encoding="utf-8") as f:
+                tokens = tokenize(f.read())
+            reports.append(lexical_report(tokens, path, order, schedule, args.train))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
     if args.curves:
         os.makedirs(args.curves, exist_ok=True)
         for report in reports:
-            stem = _curve_stem(report.source_id)
-            report.vocabulary_curve.write_csv(os.path.join(args.curves, f"{stem}.vocab.csv"))
-            report.diversity_curve.write_csv(os.path.join(args.curves, f"{stem}.diversity.csv"))
+            stem = os.path.join(args.curves, _curve_stem(report.source_id))
+            _write_output(report.vocabulary_curve.to_csv(), f"{stem}.vocab.csv")
+            _write_output(report.diversity_curve.to_csv(), f"{stem}.diversity.csv")
 
-    pearson = None
-    tokens = [float(r.n_tokens) for r in reports]
-    extrapolated = [r.extrapolated_diversity for r in reports]
-    if len(reports) >= 2:
-        try:
-            pearson = pearson_r(tokens, extrapolated)
-        except ValueError:
-            pearson = None
+    try:  # undefined for fewer than two documents or a constant column
+        pearson = pearson_r([r.n_tokens for r in reports],
+                            [r.extrapolated_diversity for r in reports])
+    except ValueError:
+        pearson = None
 
     if args.format == "json":
         payload = {

@@ -62,10 +62,7 @@ class FrequencyDistribution:
     @classmethod
     def from_events(cls, events: Iterable[str]) -> FrequencyDistribution:
         """Build a distribution by counting an event stream."""
-        merged: dict[str, int] = {}
-        for label in events:
-            merged[label] = merged.get(label, 0) + 1
-        return cls(counts=merged, total=sum(merged.values()))
+        return cls.from_counts((label, 1) for label in events)
 
     def __len__(self) -> int:
         return len(self.counts)
@@ -73,14 +70,10 @@ class FrequencyDistribution:
     def __bool__(self) -> bool:
         return self.total > 0
 
-    def count_array(self) -> np.ndarray:
-        return np.fromiter(self.counts.values(), dtype=float, count=len(self.counts))
-
     def probabilities(self) -> np.ndarray:
         """Relative abundances p_n = count_n / total."""
-        if self.total == 0:
-            return np.empty(0, dtype=float)
-        return self.count_array() / float(self.total)
+        counts = np.fromiter(self.counts.values(), dtype=float, count=len(self.counts))
+        return counts / float(self.total) if self.total else counts
 
 
 def _check_order(order: float) -> float:

@@ -170,12 +170,10 @@ class HttpTransport:
     by the underlying session.
     """
 
-    def __init__(self, session=None) -> None:
-        if session is None:
-            import requests
+    def __init__(self) -> None:
+        import requests
 
-            session = requests.Session()
-        self._session = session
+        self._session = requests.Session()
 
     def select(self, url: str, query: str, timeout: float) -> SparqlResult:
         import requests
@@ -267,16 +265,28 @@ def _counts_from_rows(
     return FrequencyDistribution.from_counts(pairs)
 
 
-def _paginate_keys(client: SparqlClient, enum_template: str, key_var: str) -> list[str]:
+# Partitioned retrieval, shared by the class and property harvests: key
+# enumeration page by page, then per-key counts in VALUES batches.
+_ENUM = (
+    "SELECT DISTINCT ?{key} WHERE {{ {pattern} }} "
+    "ORDER BY ?{key} LIMIT {limit} OFFSET {offset}"
+)
+_BATCH = (
+    "SELECT ?{key} ({count} AS ?count) "
+    "WHERE {{ VALUES ?{key} {{ {values} }} {pattern} }} GROUP BY ?{key}"
+)
+
+
+def _paginate_keys(client: SparqlClient, key: str, pattern: str) -> list[str]:
     keys: list[str] = []
     offset = 0
     page = client.cfg.page_size
     while True:
-        query = enum_template.format(limit=page, offset=offset)
+        query = _ENUM.format(key=key, pattern=pattern, limit=page, offset=offset)
         rows = client.select(query).rows
         for row in rows:
             try:
-                keys.append(row[key_var])
+                keys.append(row[key])
             except KeyError as exc:
                 raise ProtocolError(f"malformed key row {row!r}") from exc
         if len(rows) < page:
@@ -284,67 +294,34 @@ def _paginate_keys(client: SparqlClient, enum_template: str, key_var: str) -> li
         offset += page
 
 
-def _partitioned_counts(
-    client: SparqlClient,
-    enum_template: str,
-    batch_template: str,
-    key_var: str,
-) -> FrequencyDistribution:
-    keys = _paginate_keys(client, enum_template, key_var)
-    page = client.cfg.page_size
-    rows: list[dict[str, str]] = []
-    for start in range(0, len(keys), page):
-        values = " ".join(f"<{key}>" for key in keys[start : start + page])
-        rows.extend(client.select(batch_template.format(values=values)).rows)
-    return _counts_from_rows(rows, key_var)
-
-
 def _grouped_with_fallback(
-    client: SparqlClient,
-    direct_query: str,
-    enum_template: str,
-    batch_template: str,
-    key_var: str,
+    client: SparqlClient, direct_query: str, key: str, pattern: str, count: str
 ) -> FrequencyDistribution:
+    """Counts per ``key`` from ``direct_query``, or from partitioned ``pattern`` queries."""
     try:
         result = client.select(direct_query)
         if not result.truncated and len(result.rows) < client.cfg.page_size:
-            return _counts_from_rows(result.rows, key_var)
+            return _counts_from_rows(result.rows, key)
     except QueryTimeout:
         pass
-    return _partitioned_counts(client, enum_template, batch_template, key_var)
-
-
-_CLASS_ENUM = (
-    "SELECT DISTINCT ?class WHERE {{ ?s a ?class }} "
-    "ORDER BY ?class LIMIT {limit} OFFSET {offset}"
-)
-_CLASS_BATCH = (
-    "SELECT ?class (COUNT(?s) AS ?count) "
-    "WHERE {{ VALUES ?class {{ {values} }} ?s a ?class }} GROUP BY ?class"
-)
-_PROPERTY_ENUM = (
-    "SELECT DISTINCT ?p WHERE {{ ?s ?p ?o }} "
-    "ORDER BY ?p LIMIT {limit} OFFSET {offset}"
-)
-_PROPERTY_BATCH = (
-    "SELECT ?p (COUNT(*) AS ?count) "
-    "WHERE {{ VALUES ?p {{ {values} }} ?s ?p ?o }} GROUP BY ?p"
-)
+    keys = _paginate_keys(client, key, pattern)
+    page = client.cfg.page_size
+    rows: list[dict[str, str]] = []
+    for start in range(0, len(keys), page):
+        values = " ".join(f"<{k}>" for k in keys[start : start + page])
+        query = _BATCH.format(key=key, count=count, values=values, pattern=pattern)
+        rows.extend(client.select(query).rows)
+    return _counts_from_rows(rows, key)
 
 
 def class_counts(client: SparqlClient) -> FrequencyDistribution:
     """Resources per class, with partitioned fallback on truncation/timeout."""
-    return _grouped_with_fallback(
-        client, CLASS_COUNT_QUERY, _CLASS_ENUM, _CLASS_BATCH, "class"
-    )
+    return _grouped_with_fallback(client, CLASS_COUNT_QUERY, "class", "?s a ?class", "COUNT(?s)")
 
 
 def property_counts(client: SparqlClient) -> FrequencyDistribution:
     """Triples per predicate, with the same partitioned fallback."""
-    return _grouped_with_fallback(
-        client, PROPERTY_COUNT_QUERY, _PROPERTY_ENUM, _PROPERTY_BATCH, "p"
-    )
+    return _grouped_with_fallback(client, PROPERTY_COUNT_QUERY, "p", "?s ?p ?o", "COUNT(*)")
 
 
 def sameas_host_counts(client: SparqlClient) -> FrequencyDistribution:

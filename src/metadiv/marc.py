@@ -288,9 +288,6 @@ class RecordStream(Iterator[MarcView]):
         record.clear()
         return view
 
-    def __iter__(self) -> RecordStream:
-        return self
-
     def __next__(self) -> MarcView:
         return next(self._iter)
 

@@ -1,6 +1,6 @@
 """Tokenization and per-document lexical-diversity reports.
 
-A document is reduced to a stream of surface word forms (no stemming or
+A document is reduced to a tuple of surface word forms (no stemming or
 lemmatization); the report combines the observed end-of-text diversity with
 the power-law fit of the vocabulary growth and the extrapolated asymptote of
 the diversity growth, so texts of different lengths can be compared.
@@ -16,9 +16,10 @@ import numpy as np
 
 from .accumulation import AccumulationCurve, CheckpointSchedule, diversity_growth, vocabulary_growth
 from .diversity import _check_order
-from .fitting import FitResult, ModelKind, RankedModel, compare_models, fit_model, fit_power_law
+from .fitting import (FitResult, InsufficientDataError, ModelKind, RankedModel, compare_models,
+                      fit_model, fit_power_law)
 
-__all__ = ["TokenStream", "LexicalReport", "tokenize", "lexical_report", "pearson_r"]
+__all__ = ["LexicalReport", "tokenize", "lexical_report", "pearson_r"]
 
 # A token is a run of word characters, optionally chained by internal
 # apostrophes or hyphens; leading/trailing punctuation is never captured.
@@ -26,17 +27,6 @@ _TOKEN_RE = re.compile(r"\w+(?:['’-]\w+)*", re.UNICODE)
 _LETTER_RE = re.compile(r"[^\W\d_]", re.UNICODE)
 
 DEFAULT_TRAIN_LIMIT = 10_000
-
-
-@dataclass(frozen=True)
-class TokenStream:
-    """Ordered normalized word forms extracted from one source."""
-
-    tokens: tuple[str, ...]
-    source_id: str = ""
-
-    def __len__(self) -> int:
-        return len(self.tokens)
 
 
 @dataclass(frozen=True)
@@ -77,8 +67,8 @@ class LexicalReport:
         }
 
 
-def tokenize(text: str, source_id: str = "") -> TokenStream:
-    """Split text into lower-cased word tokens.
+def tokenize(text: str) -> tuple[str, ...]:
+    """Split text into lower-cased word tokens, in text order.
 
     Tokens must contain at least one letter (bare numbers and punctuation
     runs are dropped); internal apostrophes and hyphens are preserved.
@@ -95,12 +85,12 @@ def tokenize(text: str, source_id: str = "") -> TokenStream:
             fold[word] = interned.setdefault(token, token)
         else:
             fold[word] = None
-    tokens = tuple(filter(None, map(fold.__getitem__, words)))
-    return TokenStream(tokens=tokens, source_id=source_id)
+    return tuple(filter(None, map(fold.__getitem__, words)))
 
 
 def lexical_report(
-    doc: TokenStream,
+    tokens: Sequence[str],
+    source_id: str,
     order: float = 1.0,
     schedule: CheckpointSchedule | None = None,
     train_limit: int = DEFAULT_TRAIN_LIMIT,
@@ -108,30 +98,28 @@ def lexical_report(
     """Build the full lexical-diversity report for one document.
 
     Fits the power law to the vocabulary-growth curve and the M4 model to
-    the diversity-growth curve; when the document extends beyond
-    ``train_limit`` the holdout model comparison is included, otherwise the
-    ranking is omitted.
+    the diversity-growth curve, and includes the holdout model comparison
+    at ``train_limit``; the ranking is ``None`` when ``compare_models`` has
+    too few points on either side of the limit.
     """
     order = _check_order(order)
-    if len(doc) == 0:
-        raise ValueError(f"document {doc.source_id!r} contains no tokens")
+    if len(tokens) == 0:
+        raise ValueError("document contains no tokens")
     if schedule is None:
         schedule = CheckpointSchedule.every(100)
-    vocab = vocabulary_growth(doc.tokens, schedule)
-    div = diversity_growth(doc.tokens, schedule, order)
+    vocab = vocabulary_growth(tokens, schedule)
+    div = diversity_growth(tokens, schedule, order)
 
     power = fit_power_law(vocab)
     m4 = fit_model(div, ModelKind.M4)
-
-    ranking = None
-    n_train_points = sum(1 for n, _ in div.points if n <= train_limit)
-    has_holdout = any(n > train_limit for n, _ in div.points)
-    if has_holdout and n_train_points >= 4:
+    try:
         ranking = compare_models(div, train_limit)
+    except InsufficientDataError:
+        ranking = None
 
     return LexicalReport(
-        source_id=doc.source_id,
-        n_tokens=len(doc),
+        source_id=source_id,
+        n_tokens=len(tokens),
         n_types=int(vocab.points[-1][1]),
         order=order,
         observed_diversity=div.points[-1][1],

@@ -33,7 +33,7 @@ from metadiv.lod import (
     load_published_profiles,
     property_counts,
 )
-from metadiv.text import TokenStream, lexical_report, pearson_r
+from metadiv.text import lexical_report, pearson_r
 
 from .conftest import PEOPLE_GRAPH, GraphTransport, marc_collection, marc_record
 
@@ -177,7 +177,7 @@ class TestCriterion6SampleSizeStability:
         estimates = []
         for fraction in (0.25, 0.5, 1.0):
             prefix = zipf_tokens[: int(len(zipf_tokens) * fraction)]
-            report = lexical_report(TokenStream(tokens=prefix, source_id="p"))
+            report = lexical_report(prefix, "p")
             assert report.saturating.converged
             estimates.append(report.extrapolated_diversity)
         spread = (max(estimates) - min(estimates)) / min(estimates)

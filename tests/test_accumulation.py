@@ -237,3 +237,20 @@ class TestCurveContainer:
     def test_from_csv_rejects_missing_header(self):
         with pytest.raises(ValueError):
             AccumulationCurve.from_csv(io.StringIO("1,2\n3,4\n"))
+
+    @pytest.mark.parametrize(
+        "body, line, detail",
+        [
+            ("1,1.0\n2,abc\n", 3, "'abc'"),  # value not a number
+            ("1,1.0\n1.5,2.0\n", 3, "'1.5'"),  # n not an integer
+            ("0,1.0\n", 2, "n 0 is below 1"),
+            ("1,1.0\n\n3,2.0\n3,4.0\n", 5, "n 3 does not exceed the previous n 3"),
+        ],
+    )
+    def test_from_csv_error_names_file_and_line(self, tmp_path, body, line, detail):
+        path = tmp_path / "curve.csv"
+        path.write_text("n,value\n" + body)
+        with pytest.raises(ValueError) as info:
+            AccumulationCurve.from_csv(path)
+        assert str(info.value).startswith(f"{path}, line {line}: ")
+        assert detail in str(info.value)

@@ -118,6 +118,24 @@ class TestLexdiv:
         assert cli.main(["lexdiv", "absent.txt"]) == cli.EXIT_INPUT
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "content, detail",
+        [(b"ok \xff", "'utf-8' codec can't decode"),
+         (b"two words", "power-law fit needs at least 3 points"),
+         (b"", "document contains no tokens")],
+    )
+    def test_input_error_names_the_document(self, corpus_dir, capsys, content, detail):
+        (corpus_dir / "bad.txt").write_bytes(content)
+        assert cli.main(["lexdiv", "alpha.txt", "bad.txt"]) == cli.EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("input error: bad.txt: ") and detail in err
+        assert err.count("bad.txt") == 1
+
+    def test_bad_order_names_no_document(self, corpus_dir, capsys):
+        assert cli.main(["lexdiv", "alpha.txt", "--order", "-1"]) == cli.EXIT_INPUT
+        assert capsys.readouterr().err.startswith("input error: diversity order")
+
     def test_output_file(self, corpus_dir, capsys):
         code = cli.main(["lexdiv", "alpha.txt", "--every", "20", "--output", "report.csv"])
         capsys.readouterr()
@@ -184,6 +202,14 @@ class TestFit:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("input error:") and "'2'" in err
+
+    def test_bad_value_names_file_and_line(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.csv").write_text("n,value\n1,1.0\n2,abc\n")
+        assert cli.main(["fit", "bad.csv", "--model", "m2"]) == cli.EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("input error: bad.csv, line 3: ") and "'abc'" in err
 
 
 class TestMarc:

@@ -13,7 +13,7 @@ from metadiv.accumulation import CheckpointSchedule
 from metadiv.diversity import FrequencyDistribution, richness
 from metadiv.fitting import ModelKind
 from metadiv.synthetic import zipf_corpus, zipf_probabilities, zipf_true_diversity
-from metadiv.text import TokenStream, lexical_report, pearson_r, tokenize
+from metadiv.text import lexical_report, pearson_r, tokenize
 
 # ASCII word characters, the token joiners, whitespace, characters whose
 # casefold expands (İ ῶ ǰ ß ﬁ) or whose lower() depends on position (Σ),
@@ -32,56 +32,57 @@ def _per_match_tokens(text: str) -> tuple[str, ...]:
 
 class TestTokenize:
     def test_plain_words(self):
-        assert tokenize("Los pazos de Ulloa.").tokens == ("los", "pazos", "de", "ulloa")
+        assert tokenize("Los pazos de Ulloa.") == ("los", "pazos", "de", "ulloa")
 
     def test_casefold_and_punctuation(self):
-        stream = tokenize("¡Hola, HOLA!")
-        assert stream.tokens == ("hola", "hola")
-        assert len(set(stream.tokens)) == 1
+        tokens = tokenize("¡Hola, HOLA!")
+        assert tokens == ("hola", "hola")
+        assert len(set(tokens)) == 1
 
     def test_numbers_dropped(self):
-        assert tokenize("1492").tokens == ()
+        assert tokenize("1492") == ()
 
     def test_internal_apostrophe_and_hyphen_kept(self):
-        assert tokenize("the well-known d'Artagnan").tokens == (
+        assert tokenize("the well-known d'Artagnan") == (
             "the",
             "well-known",
             "d'artagnan",
         )
 
     def test_edge_punctuation_stripped(self):
-        assert tokenize("--dijo; (claro)...").tokens == ("dijo", "claro")
+        assert tokenize("--dijo; (claro)...") == ("dijo", "claro")
 
     def test_no_whitespace_or_empty_tokens(self):
-        stream = tokenize("a\tb\nc  d–e")
-        assert all(tok and not any(ch.isspace() for ch in tok) for tok in stream.tokens)
+        tokens = tokenize("a\tb\nc  d–e")
+        assert all(tok and not any(ch.isspace() for ch in tok) for tok in tokens)
 
     @given(st.text(max_size=400))
     def test_idempotent_on_own_output(self, text):
-        once = tokenize(text).tokens
-        twice = tokenize(" ".join(once)).tokens
+        once = tokenize(text)
+        twice = tokenize(" ".join(once))
         assert twice == once
 
     @given(st.text(alphabet=_TOKENIZER_ALPHABET, max_size=200))
     def test_equals_per_match_reference(self, text):
-        assert tokenize(text).tokens == _per_match_tokens(text)
+        assert tokenize(text) == _per_match_tokens(text)
 
     def test_equal_tokens_share_one_string(self):
-        toks = tokenize("Hola hola HOLA ¡hola! Straße STRASSE strasse " * 50).tokens
+        toks = tokenize("Hola hola HOLA ¡hola! Straße STRASSE strasse " * 50)
         assert len(toks) == 350
         assert len({id(t) for t in toks}) == len(set(toks)) == 2
 
     @given(st.text(max_size=400))
     def test_type_count_equals_richness(self, text):
-        tokens = tokenize(text).tokens
+        tokens = tokenize(text)
         dist = FrequencyDistribution.from_events(tokens)
         assert len(set(tokens)) == richness(dist)
 
 
 class TestLexicalReport:
     def test_degenerate_single_word(self):
-        doc = TokenStream(tokens=("lorem",) * 1000, source_id="degenerate")
-        report = lexical_report(doc, order=1.0, schedule=CheckpointSchedule.every(50))
+        report = lexical_report(
+            ("lorem",) * 1000, "degenerate", order=1.0, schedule=CheckpointSchedule.every(50)
+        )
         assert report.n_tokens == 1000
         assert report.n_types == 1
         assert report.observed_diversity == pytest.approx(1.0)
@@ -90,19 +91,17 @@ class TestLexicalReport:
 
     def test_empty_document_rejected(self):
         with pytest.raises(ValueError):
-            lexical_report(TokenStream(tokens=(), source_id="empty"))
+            lexical_report((), "empty")
 
     def test_zipf_corpus_extrapolation_close_to_true_value(self, zipf_tokens):
-        doc = TokenStream(tokens=zipf_tokens, source_id="zipf")
-        report = lexical_report(doc, order=1.0)
+        report = lexical_report(zipf_tokens, "zipf", order=1.0)
         true_d = zipf_true_diversity(5000, 1.0)
         assert abs(report.extrapolated_diversity - true_d) / true_d < 0.10
         assert report.ranking is not None
 
     def test_power_law_self_consistency(self, novel_like_tokens):
         # Fitted C, alpha reproduce the final vocabulary size within 15%.
-        doc = TokenStream(tokens=novel_like_tokens, source_id="novel-like")
-        report = lexical_report(doc, order=1.0)
+        report = lexical_report(novel_like_tokens, "novel-like", order=1.0)
         c = report.power_law.params["C"]
         alpha = report.power_law.params["alpha"]
         predicted_types = c * report.n_tokens**alpha
@@ -112,14 +111,23 @@ class TestLexicalReport:
         estimates = []
         for fraction in (0.25, 0.5, 1.0):
             prefix = zipf_tokens[: int(len(zipf_tokens) * fraction)]
-            report = lexical_report(TokenStream(tokens=prefix, source_id="p"))
+            report = lexical_report(prefix, "p")
             estimates.append(report.extrapolated_diversity)
         spread = (max(estimates) - min(estimates)) / min(estimates)
         assert spread < 0.15
 
+    @pytest.mark.parametrize("train_limit, ranked", [(30, None), (40, 4), (400, None)])
+    def test_ranking_needs_four_training_points_and_a_holdout(self, train_limit, ranked):
+        # Checkpoints every 10 tokens: 3 training points at 30, 4 at 40, and
+        # none past 400 to hold out.
+        tokens = zipf_corpus(400, 60, seed=3)
+        report = lexical_report(tokens, "z", schedule=CheckpointSchedule.every(10),
+                                train_limit=train_limit)
+        assert (None if report.ranking is None else len(report.ranking)) == ranked
+
     def test_report_dict_shape(self):
-        doc = TokenStream(tokens=tuple("abcab" * 30), source_id="tiny")
-        payload = lexical_report(doc, schedule=CheckpointSchedule.every(10)).to_dict()
+        schedule = CheckpointSchedule.every(10)
+        payload = lexical_report(tuple("abcab" * 30), "tiny", schedule=schedule).to_dict()
         assert payload["source"] == "tiny"
         assert payload["tokens"] == 150
         assert payload["types"] == 3
