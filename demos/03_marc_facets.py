@@ -38,7 +38,7 @@ for i in range(300):
     )
 xml = ("<collection>" + "".join(records) + "</collection>").encode()
 
-# Compound descriptors split into typed subdivisions on demand.
+# A compound descriptor splits into its subdivision texts.
 heading = split_heading("Theater--Spain--16th century")
 print("subdivisions of a compound descriptor:", heading.texts)
 

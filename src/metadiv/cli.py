@@ -99,8 +99,7 @@ def _write_output(text: str, output: str | None) -> None:
 
 
 def _curve_stem(path: str) -> str:
-    base = os.path.basename(path)
-    return base.rsplit(".", 1)[0] if "." in base else base
+    return os.path.basename(path).rsplit(".", 1)[0]
 
 
 def _run_lexdiv(args, transport) -> int:
@@ -116,6 +115,11 @@ def _run_lexdiv(args, transport) -> int:
             raise ValueError(f"{path}: {exc}") from exc
 
     if args.curves:
+        stems: dict[str, str] = {}  # file stem -> the first document with it
+        for path in args.files:
+            first = stems.setdefault(_curve_stem(path), path)
+            if first != path:
+                raise ValueError(f"--curves: {first} and {path} would write the same curve files")
         os.makedirs(args.curves, exist_ok=True)
         for report in reports:
             stem = os.path.join(args.curves, _curve_stem(report.source_id))

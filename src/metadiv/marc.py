@@ -42,9 +42,9 @@ SUBJECT_FIELDS = ("650",)
 EXTENDED_SUBJECT_FIELDS = ("650", "600", "610", "651")
 FACETS = ("authors", "subjects", "subdivisions")
 
-# Subdivision kind by MARC subfield code; $a depends on the field.
-_SUBFIELD_KINDS = {"x": "topical", "y": "chronological", "z": "geographical", "v": "form"}
-_BASE_KINDS = {"650": "topical", "651": "geographical"}
+# Subfield codes whose text belongs to a subject heading: the base term $a
+# and the subdivisions $x/$y/$z/$v.
+_HEADING_CODES = frozenset("axyzv")
 _AUTHOR_TAGS = frozenset(AUTHOR_FIELDS)
 # A MARC record element has no namespace or the MARCXML one; other "record"
 # elements, such as OAI-PMH wrappers, are not read.
@@ -58,22 +58,18 @@ def _normalize(text: str) -> str:
 
 @dataclass(frozen=True)
 class SubjectHeading:
-    """Compound subject descriptor split into ordered subdivisions.
+    """Compound subject descriptor split into its subdivision texts, in order.
 
     ``structured`` records which path produced the split: MARC subfields or
     string-splitting on the ``--`` delimiter.
     """
 
-    subdivisions: tuple[tuple[str, str], ...]
+    texts: tuple[str, ...]
     structured: bool = False
 
     @property
     def descriptor(self) -> str:
-        return "--".join(text for _, text in self.subdivisions)
-
-    @property
-    def texts(self) -> tuple[str, ...]:
-        return tuple(text for _, text in self.subdivisions)
+        return "--".join(self.texts)
 
 
 @dataclass(frozen=True)
@@ -99,43 +95,35 @@ def entry_year(field_008: str | None) -> int | None:
 
 
 def split_heading(descriptor: str) -> SubjectHeading:
-    """Split a plain descriptor on the ``--`` delimiter.
-
-    Without subfield structure the subdivision kinds are unknown and tagged
-    ``other``.
-    """
-    parts = [p for p in (part.strip() for part in descriptor.split("--")) if p]
-    if not parts:
+    """Split a plain descriptor on the ``--`` delimiter into its texts."""
+    texts = tuple(p for p in (part.strip() for part in descriptor.split("--")) if p)
+    if not texts:
         raise ValueError("empty subject descriptor")
-    return SubjectHeading(
-        subdivisions=tuple(("other", p) for p in parts), structured=False
-    )
+    return SubjectHeading(texts)
 
 
-def heading_from_subfields(
-    pairs: Iterable[tuple[str, str]], tag: str = "650"
-) -> SubjectHeading | None:
+def heading_from_subfields(pairs: Iterable[tuple[str, str]]) -> SubjectHeading | None:
     """Build a heading from MARC (subfield code, text) pairs in field order.
 
-    $a carries the base term, $x/$y/$z/$v the typed subdivisions; other
-    subfields (authority links, source codes) are ignored.  Returns None
-    when no usable text remains.
+    Its texts are those of $a and $x/$y/$z/$v; other subfields (authority
+    links, source codes) are ignored, and a lone ``--``-joined text is split.
+    Returns None when no usable text remains.
     """
-    subdivisions: list[tuple[str, str]] = []
+    texts: list[str] = []
     for code, raw in pairs:
-        text = _normalize(raw)
-        if not text:
-            continue
-        if code == "a":
-            subdivisions.append((_BASE_KINDS.get(tag, "other"), text))
-        elif code in _SUBFIELD_KINDS:
-            subdivisions.append((_SUBFIELD_KINDS[code], text))
-    if not subdivisions:
+        if code in _HEADING_CODES:
+            text = _normalize(raw)
+            if text:
+                texts.append(text)
+    if not texts:
         return None
-    if len(subdivisions) == 1 and "--" in subdivisions[0][1]:
-        # Pre-joined descriptor stored in a single subfield.
-        return split_heading(subdivisions[0][1])
-    return SubjectHeading(subdivisions=tuple(subdivisions), structured=True)
+    if len(texts) == 1 and "--" in texts[0]:
+        # Pre-joined descriptor in one subfield; delimiters alone make no heading.
+        try:
+            return split_heading(texts[0])
+        except ValueError:
+            return None
+    return SubjectHeading(tuple(texts), structured=True)
 
 
 class _LocalNames(dict):
@@ -173,7 +161,7 @@ def _record_to_view(
             elif tag in subject_fields:
                 pairs = [(sf.get("code") or "", sf.text or "")
                          for sf in child if names[sf.tag] == "subfield"]
-                heading = heading_from_subfields(pairs, tag)
+                heading = heading_from_subfields(pairs)
                 if heading is not None:
                     headings.append(heading)
 
@@ -315,8 +303,6 @@ def _facet_values(view: MarcView, facet: str) -> list[str]:
 class FacetSeries:
     """Per-year cumulative richness and diversity of one catalog facet."""
 
-    facet: str
-    order: float
     rows: tuple[tuple[int, int, float], ...]  # (year, cum_richness, cum_diversity)
     total_events: int
     missing_year: int = 0
@@ -382,8 +368,6 @@ def facet_series(
         for year, (_, rich), (_, div) in zip(years, rich_curve.points, div_curve.points)
     )
     return FacetSeries(
-        facet=facet,
-        order=order,
         rows=rows,
         total_events=ends[-1],
         missing_year=missing,

@@ -98,14 +98,30 @@ class TestLexdiv:
 
     def test_curve_dump(self, corpus_dir, capsys):
         code = cli.main(
-            ["lexdiv", "alpha.txt", "--every", "20", "--curves", "curves"]
+            ["lexdiv", "alpha.txt", "beta.txt", "--every", "20", "--curves", "curves"]
         )
         capsys.readouterr()
         assert code == cli.EXIT_OK
+        assert sorted(os.listdir("curves")) == ["alpha.diversity.csv", "alpha.vocab.csv",
+                                                "beta.diversity.csv", "beta.vocab.csv"]
         vocab = Path("curves/alpha.vocab.csv").read_text()
         assert vocab.splitlines()[0] == "n,value"
         div = Path("curves/alpha.diversity.csv").read_text()
         assert div.splitlines()[0] == "n,value"
+
+    @pytest.mark.parametrize("first, second", [("a/x.txt", "b/x.txt"), ("x.txt", "x.md")])
+    def test_curve_stem_collision_exits_one(self, tmp_path, monkeypatch, capsys, first, second):
+        monkeypatch.chdir(tmp_path)
+        for path, text in ((first, ALPHA_TEXT), (second, BETA_TOKENS)):
+            Path(path).parent.mkdir(exist_ok=True)
+            Path(path).write_text(text, encoding="utf-8")
+        argv = ["lexdiv", first, second, "--every", "20", "--curves", "out"]
+        assert cli.main(argv) == cli.EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"input error: --curves: {first} and {second} "
+                       "would write the same curve files\n")
+        assert not Path("out").exists()
 
     def test_empty_document_exits_one(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -249,6 +265,25 @@ class TestMarc:
         # heading counts do not depend on the facet asked for
         quality = json.loads(err)
         assert (quality["structured_headings"], quality["split_headings"]) == (2, 1)
+
+    def test_extended_subjects_adds_651(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        spain = ('<datafield tag="651" ind1=" " ind2="0"><subfield code="a">Spain</subfield>'
+                 '<subfield code="x">History</subfield></datafield></record>')
+        record = marc_record("r2", "020101", subjects=((("a", "Theater"),),))
+        Path("catalog.xml").write_bytes(marc_collection(
+            marc_record("r1", "010101", subjects=((("a", "Commerce"),),)),
+            record.replace("</record>", spain)))
+        argv = ["marc", "catalog.xml", "--facet", "subjects"]
+        code, out, err = run_twice(argv, capsys)
+        assert code == cli.EXIT_OK
+        assert out == "year,cum_richness,cum_diversity\n2001,1,1.0000\n2002,2,2.0000\n"
+        assert json.loads(err)["structured_headings"] == 2
+        code, out, err = run_twice([*argv, "--extended-subjects"], capsys)
+        assert code == cli.EXIT_OK
+        # 2002 adds Theater and Spain--History: three subjects, one event each
+        assert out == "year,cum_richness,cum_diversity\n2001,1,1.0000\n2002,3,3.0000\n"
+        assert json.loads(err)["structured_headings"] == 3
 
     def test_truncated_collection_exits_one(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -76,21 +76,14 @@ class TestHeadingFromSubfields:
     def test_chronological_subfield(self):
         heading = heading_from_subfields([("a", "Spain"), ("y", "16th century")])
         assert heading.structured
-        assert heading.subdivisions == (
-            ("topical", "Spain"),
-            ("chronological", "16th century"),
-        )
+        assert heading.texts == ("Spain", "16th century")
 
-    def test_kind_mapping(self):
+    def test_text_subfields_kept_in_field_order(self):
         heading = heading_from_subfields(
-            [("a", "Art"), ("x", "Study"), ("z", "Spain"), ("v", "Exhibitions")]
+            [("v", "Exhibitions"), ("2", "lcsh"), ("a", "Art"), ("x", "Study"),
+             ("b", "Sub-unit"), ("z", "Spain"), ("", "no code"), ("y", "1900")]
         )
-        assert [kind for kind, _ in heading.subdivisions] == [
-            "topical",
-            "topical",
-            "geographical",
-            "form",
-        ]
+        assert heading.texts == ("Exhibitions", "Art", "Study", "Spain", "1900")
 
     def test_control_subfields_ignored(self):
         heading = heading_from_subfields([("a", "Art"), ("0", "sh85007461")])
@@ -105,6 +98,10 @@ class TestHeadingFromSubfields:
         heading = heading_from_subfields([("a", "Spain"), ("y", "16th century")])
         assert heading.descriptor == "Spain--16th century"
         assert "--".join(heading.texts) == heading.descriptor
+
+    @pytest.mark.parametrize("text", ["--", " -- ", "-- --"])
+    def test_lone_delimiters_are_no_heading(self, text):
+        assert heading_from_subfields([("a", text)]) is None
 
 
 class TestParseRecords:
@@ -181,8 +178,19 @@ class TestParseRecords:
         assert default_views[0].headings == ()  # 651 is off by default
         extended_views = list(parse_records(io.BytesIO(xml), extended_subjects=True))
         heading = extended_views[0].headings[0]
-        assert heading.descriptor == "Spain--History"
-        assert heading.subdivisions[0] == ("geographical", "Spain")
+        assert heading.texts == ("Spain", "History")
+        assert heading.structured
+
+    def test_delimiters_only_subject_keeps_the_record(self, caplog):
+        xml = marc_collection(
+            marc_record("r1", "850315", authors=("Smith",), subjects=((("a", "--"),),))
+        )
+        stream = parse_records(io.BytesIO(xml))
+        with caplog.at_level(logging.WARNING, logger="metadiv.marc"):
+            views = list(stream)
+        assert (stream.records, stream.skipped) == (1, 0)
+        assert views == [MarcView("r1", 1985, ("Smith",), ())]
+        assert caplog.records == []
 
     @pytest.mark.parametrize("decl", ["", f' xmlns="{MARC_NS}"'], ids=["plain", "marc-ns"])
     def test_oai_pmh_wrappers_are_not_records(self, decl, caplog):
@@ -331,22 +339,19 @@ def _ref_localname(tag):
     return tag.rsplit("}", 1)[-1]
 
 
-def _ref_heading(pairs, tag):
-    kinds = {"x": "topical", "y": "chronological", "z": "geographical", "v": "form"}
-    subdivisions = []
+def _ref_heading(pairs):
+    texts = []
     for code, raw in pairs:
         text = _ref_normalize(raw)
-        if not text:
-            continue
-        if code == "a":
-            subdivisions.append(({"650": "topical", "651": "geographical"}.get(tag, "other"), text))
-        elif code in kinds:
-            subdivisions.append((kinds[code], text))
-    if not subdivisions:
+        if text and code in ("a", "x", "y", "z", "v"):
+            texts.append(text)
+    if not texts:
         return None
-    if len(subdivisions) == 1 and "--" in subdivisions[0][1]:
-        return split_heading(subdivisions[0][1])
-    return SubjectHeading(subdivisions=tuple(subdivisions), structured=True)
+    if len(texts) == 1 and "--" in texts[0]:
+        # A lone descriptor of delimiters only is no heading.
+        parts = [part.strip() for part in texts[0].split("--")]
+        return split_heading(texts[0]) if any(parts) else None
+    return SubjectHeading(tuple(texts), structured=True)
 
 
 def _ref_record_to_view(record, subject_fields):
@@ -376,7 +381,7 @@ def _ref_record_to_view(record, subject_fields):
                         if name_text:
                             authors.append(name_text)
             elif tag in subject_fields:
-                heading = _ref_heading(subfields, tag)
+                heading = _ref_heading(subfields)
                 if heading is not None:
                     headings.append(heading)
     if not record_id:
@@ -681,7 +686,7 @@ def _ref_facet_series(records, facet, order):
     rich = vocabulary_growth(labels, schedule)
     div = diversity_growth(labels, schedule, order)
     rows = tuple((year, int(r), d) for year, (_, r), (_, d) in zip(years, rich.points, div.points))
-    return FacetSeries(facet, order, rows, len(events), missing, structured, split)
+    return FacetSeries(rows, len(events), missing, structured, split)
 
 
 # Few labels, so they repeat within and across years; years out of order or
@@ -689,8 +694,7 @@ def _ref_facet_series(records, facet, order):
 _labels = st.sampled_from(["Ann", "Bo", "Cy", "Di", "Ed"])
 _headings = st.builds(
     SubjectHeading,
-    st.lists(st.tuples(st.sampled_from(["topical", "other"]), _labels),
-             min_size=1, max_size=3).map(tuple),
+    st.lists(_labels, min_size=1, max_size=3).map(tuple),
     st.booleans(),
 )
 _views = st.builds(
