@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from collections import defaultdict
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
@@ -110,9 +111,10 @@ class AccumulationCurve:
     def from_csv(cls, source) -> AccumulationCurve:
         """Parse a CSV (path or file-like) with header ``n,value``.
 
-        Columns after the first two are ignored.  A curve whose values are
-        all integers is read back as a type count.  An error names the
-        source and the line of the bad row (the header is line 1).
+        Columns after the first two are ignored, and every value must be
+        finite.  A curve whose values are all integers is read back as a type
+        count.  An error names the source and the line of the bad row (the
+        header is line 1).
         """
         if hasattr(source, "read"):
             return cls._read_csv(source, getattr(source, "name", "curve CSV"))
@@ -136,7 +138,10 @@ class AccumulationCurve:
                 if n <= last:
                     raise ValueError(f"n {n} is below 1" if n < 1 else
                                      f"n {n} does not exceed the previous n {last}")
-                points.append((n, float(r[1])))
+                value = float(r[1])
+                if not math.isfinite(value):
+                    raise ValueError(f"value {r[1]!r} is not finite")
+                points.append((n, value))
                 counted = counted and r[1].isdigit()
                 last = n
         except ValueError as exc:

@@ -9,6 +9,17 @@ iteration (Levenberg-Marquardt): at each step the normal equations
 are solved with the analytic Jacobian from :mod:`metadiv.models`, the
 damping factor adapting until the step reduces the squared residual.
 Parameters are kept in their valid region by projection onto the bounds.
+
+Each model is evaluated once per trial step: the value function returns the
+intermediates its Jacobian reads (``n + c``, ``w**alpha``, ``exp(-alpha*n)``
+and the like), and the Jacobian at an accepted step is built from the
+trial's intermediates into one buffer per fit, with the same floating-point
+operations as ``eval_model`` and ``model_gradient``.  A fit reports how many
+Jacobians it evaluated and why it stopped: a relative parameter change
+below ``REL_PARAM_TOL`` (``param-tol``), a relative cost change below
+``REL_COST_TOL`` (``cost-tol``), no damping up to 1e12 that reduces the
+cost (``damping-exhausted``), or ``MAX_ITER`` iterations (``max-iter``).
+Only the first two count as converged.
 """
 
 from __future__ import annotations
@@ -19,7 +30,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .accumulation import AccumulationCurve
-from .models import PARAM_FLOORS, PARAM_NAMES, SATURATING, ModelKind, eval_model, model_gradient
+from .models import FORMS, PARAM_FLOORS, PARAM_NAMES, SATURATING, ModelKind, eval_model
+# perfbench/spans.py wraps metadiv.fitting.model_gradient, so the name stays importable here.
+from .models import model_gradient  # noqa: F401
 
 __all__ = [
     "InsufficientDataError",
@@ -46,7 +59,11 @@ class FitResult:
 
     ``residual`` is the root-mean-square error over the fitted points (in
     log space for the power law).  ``converged`` is a reported state, not a
-    guarantee: observed curves may still be growing.
+    guarantee: observed curves may still be growing.  ``iterations`` (the
+    number of Jacobian evaluations) and ``stop_reason`` (``param-tol``,
+    ``cost-tol``, ``damping-exhausted`` or ``max-iter``) describe the
+    iterative solver; the closed-form power law has 0 and None.  Neither is
+    part of ``to_dict``.
     """
 
     kind: ModelKind
@@ -54,6 +71,8 @@ class FitResult:
     residual: float
     n_points: int
     converged: bool
+    iterations: int = 0
+    stop_reason: str | None = None
 
     def param_vector(self) -> np.ndarray:
         return np.array([self.params[name] for name in PARAM_NAMES[self.kind]])
@@ -135,43 +154,58 @@ def fit_model(curve: AccumulationCurve, kind: ModelKind) -> FitResult:
     n = curve.ns
     v = curve.values
     floor = np.array(PARAM_FLOORS[kind])
+    value_at, jacobian = FORMS[kind]
+    # C order, the layout of model_gradient's result, so that jac.T @ jac
+    # takes the same BLAS route and rounds the same.
+    jac = np.empty((len(n), len(names)))
 
     p = np.maximum(_initial_params(kind, n, v), floor)
-    r = v - eval_model(kind, p, n)
+    value, parts = value_at(p, n)
+    r = np.subtract(v, value, out=value)
     cost = float(r @ r)
     lam = 1e-3
-    converged = False
+    iterations = 0
+    stop_reason = "max-iter"
 
-    for _ in range(MAX_ITER):
-        jac = model_gradient(kind, p, n)
+    while iterations < MAX_ITER:
+        iterations += 1
+        # ``parts`` are the intermediates of the value at p; every n of a
+        # curve is >= 1, so the Jacobian takes its logarithms unmasked.
+        jacobian(p, n, parts, jac, None)
         grad = jac.T @ r
         hess = jac.T @ jac
         scale = np.diag(hess).copy()
         scale[scale <= 0] = 1e-12
+        damping = np.diag(scale)
 
         accepted = False
         while lam <= 1e12:
             try:
-                step = np.linalg.solve(hess + lam * np.diag(scale), grad)
+                step = np.linalg.solve(hess + lam * damping, grad)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
             p_new = np.maximum(p + step, floor)
-            r_new = v - eval_model(kind, p_new, n)
+            value, parts = value_at(p_new, n)
+            r_new = np.subtract(v, value, out=value)
             cost_new = float(r_new @ r_new)
             if cost_new <= cost:
                 accepted = True
                 break
             lam *= 10.0
         if not accepted:
+            stop_reason = "damping-exhausted"
             break
 
         rel_param = float(np.max(np.abs(p_new - p) / np.maximum(np.abs(p), 1e-12)))
         rel_cost = abs(cost - cost_new) / max(cost, 1e-300)
         p, r, cost = p_new, r_new, cost_new
         lam = max(lam * 0.3, 1e-12)
-        if rel_param < REL_PARAM_TOL or rel_cost < REL_COST_TOL:
-            converged = True
+        if rel_param < REL_PARAM_TOL:
+            stop_reason = "param-tol"
+            break
+        if rel_cost < REL_COST_TOL:
+            stop_reason = "cost-tol"
             break
 
     return FitResult(
@@ -179,7 +213,9 @@ def fit_model(curve: AccumulationCurve, kind: ModelKind) -> FitResult:
         params={name: float(val) for name, val in zip(names, p)},
         residual=float(np.sqrt(cost / len(n))),
         n_points=len(curve),
-        converged=converged,
+        converged=stop_reason in ("param-tol", "cost-tol"),
+        iterations=iterations,
+        stop_reason=stop_reason,
     )
 
 
@@ -196,12 +232,13 @@ def compare_models(curve: AccumulationCurve, train_limit: int) -> list[RankedMod
     The holdout set is every point with n > train_limit; the returned list
     is ascending by holdout error with non-converged fits ranked last.
     """
-    train = curve.truncated(train_limit)
-    holdout = [(n, v) for n, v in curve.points if n > train_limit]
-    if not holdout:
+    ns = curve.ns
+    holdout = ns > train_limit
+    if not holdout.any():
         raise InsufficientDataError("curve has no points beyond the training limit")
-    hold_n = np.array([n for n, _ in holdout], dtype=float)
-    hold_v = np.array([v for _, v in holdout], dtype=float)
+    hold_n = ns[holdout]
+    hold_v = curve.values[holdout]
+    train = curve.truncated(train_limit)
 
     ranked = []
     for kind in SATURATING:

@@ -62,28 +62,116 @@ def _check_arity(kind: ModelKind, params: Sequence[float]) -> np.ndarray:
     return vec
 
 
+def _log(x: np.ndarray, positive: np.ndarray | None) -> np.ndarray:
+    """ln x where ``positive`` holds, 0 elsewhere; ``None`` means everywhere.
+
+    The Jacobian columns take ``value * ln x`` for x = n or x = w, which
+    tends to 0 as n -> 0 for alpha > 0, so 0 is the derivative at n = 0.
+    """
+    return np.log(x if positive is None else np.where(positive, x, 1.0))
+
+
+# One value/Jacobian pair per model, behind eval_model, model_gradient and the
+# solver in metadiv.fitting alike, so each formula is written once.
+# ``value(p, n)`` returns the model value at n and the intermediates the
+# Jacobian reads; ``jacobian(p, n, parts, out, positive)`` writes the
+# (len(n), arity) Jacobian at the same p into ``out`` from those intermediates
+# and returns it.  Neither checks its arguments: p is a float vector of the
+# model's arity and n a float array.
+
+
+def _power(p, n):
+    C, alpha = p
+    na = n**alpha
+    return C * na, (na,)
+
+
+def _power_jacobian(p, n, parts, out, positive):
+    C, _ = p
+    (na,) = parts
+    out[:, 0] = na
+    np.multiply(C * na, _log(n, positive), out=out[:, 1])
+    return out
+
+
+def _m1(p, n):
+    D, alpha = p
+    decay = np.exp(-alpha * n)
+    rise = 1.0 - decay
+    return D * rise, (decay, rise)
+
+
+def _m1_jacobian(p, n, parts, out, positive):
+    D, _ = p
+    decay, rise = parts
+    out[:, 0] = rise
+    np.multiply(D * n, decay, out=out[:, 1])
+    return out
+
+
+def _m2(p, n):
+    D, c = p
+    denom = n + c
+    return D * n / denom, (denom,)
+
+
+def _m2_jacobian(p, n, parts, out, positive):
+    D, _ = p
+    (denom,) = parts
+    np.divide(n, denom, out=out[:, 0])
+    np.divide(-D * n, denom**2, out=out[:, 1])
+    return out
+
+
+def _m3(p, n):
+    D, b, c = p
+    shifted = n + b
+    denom = n + c
+    return D * shifted / denom, (shifted, denom)
+
+
+def _m3_jacobian(p, n, parts, out, positive):
+    D, _, _ = p
+    shifted, denom = parts
+    np.divide(shifted, denom, out=out[:, 0])
+    np.divide(D, denom, out=out[:, 1])
+    np.divide(-D * shifted, denom**2, out=out[:, 2])
+    return out
+
+
+def _m4(p, n):
+    D, c, alpha = p
+    denom = n + c
+    w = n / denom
+    wa = w**alpha
+    return D * wa, (denom, w, wa)
+
+
+def _m4_jacobian(p, n, parts, out, positive):
+    D, _, alpha = p
+    denom, w, wa = parts
+    out[:, 0] = wa
+    np.divide(-D * alpha * wa, denom, out=out[:, 1])
+    np.multiply(D * wa, _log(w, positive), out=out[:, 2])
+    return out
+
+
+FORMS = {
+    ModelKind.POWER_LAW: (_power, _power_jacobian),
+    ModelKind.M1: (_m1, _m1_jacobian),
+    ModelKind.M2: (_m2, _m2_jacobian),
+    ModelKind.M3: (_m3, _m3_jacobian),
+    ModelKind.M4: (_m4, _m4_jacobian),
+}
+
+
 def eval_model(kind: ModelKind, params: Sequence[float], n):
     """Evaluate the model at event count(s) n >= 0.
 
     Accepts a scalar or array n and returns a matching float or array.
     """
     p = _check_arity(kind, params)
-    n_arr = np.asarray(n, dtype=float)
-    if kind is ModelKind.POWER_LAW:
-        C, alpha = p
-        out = C * n_arr**alpha
-    elif kind is ModelKind.M1:
-        D, alpha = p
-        out = D * (1.0 - np.exp(-alpha * n_arr))
-    elif kind is ModelKind.M2:
-        D, c = p
-        out = D * n_arr / (n_arr + c)
-    elif kind is ModelKind.M3:
-        D, b, c = p
-        out = D * (n_arr + b) / (n_arr + c)
-    else:
-        D, c, alpha = p
-        out = D * (n_arr / (n_arr + c)) ** alpha
+    out, _ = FORMS[kind][0](p, np.asarray(n, dtype=float))
     return float(out) if np.isscalar(n) else out
 
 
@@ -95,30 +183,6 @@ def model_gradient(kind: ModelKind, params: Sequence[float], n) -> np.ndarray:
     """
     p = _check_arity(kind, params)
     n_arr = np.atleast_1d(np.asarray(n, dtype=float))
-    if kind is ModelKind.POWER_LAW:
-        C, alpha = p
-        na = n_arr**alpha
-        # d/dalpha of C*n**alpha is C*n**alpha*ln(n); at n=0 the value is
-        # identically 0 for alpha > 0, so the derivative is taken as 0.
-        logn = np.where(n_arr > 0, np.log(np.where(n_arr > 0, n_arr, 1.0)), 0.0)
-        return np.column_stack([na, C * na * logn])
-    if kind is ModelKind.M1:
-        D, alpha = p
-        decay = np.exp(-alpha * n_arr)
-        return np.column_stack([1.0 - decay, D * n_arr * decay])
-    if kind is ModelKind.M2:
-        D, c = p
-        denom = n_arr + c
-        return np.column_stack([n_arr / denom, -D * n_arr / denom**2])
-    if kind is ModelKind.M3:
-        D, b, c = p
-        denom = n_arr + c
-        return np.column_stack(
-            [(n_arr + b) / denom, D / denom, -D * (n_arr + b) / denom**2]
-        )
-    D, c, alpha = p
-    w = n_arr / (n_arr + c)
-    wa = w**alpha
-    # w**alpha * ln(w) -> 0 as w -> 0 for alpha > 0.
-    logw = np.where(n_arr > 0, np.log(np.where(n_arr > 0, w, 1.0)), 0.0)
-    return np.column_stack([wa, -D * alpha * wa / (n_arr + c), D * wa * logw])
+    value_at, jacobian = FORMS[kind]
+    _, parts = value_at(p, n_arr)
+    return jacobian(p, n_arr, parts, np.empty((len(n_arr), len(p))), n_arr > 0)

@@ -227,6 +227,17 @@ class TestFit:
         assert out == ""
         assert err.startswith("input error: bad.csv, line 3: ") and "'abc'" in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("model", ["power", "m2"])
+    def test_non_finite_value_names_file_and_line(self, tmp_path, monkeypatch, capsys, value,
+                                                  model):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.csv").write_text(f"n,value\n1,1.0\n2,2.0\n3,{value}\n4,3.0\n5,3.5\n")
+        assert cli.main(["fit", "bad.csv", "--model", model]) == cli.EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"input error: bad.csv, line 4: value '{value}' is not finite\n"
+
 
 class TestMarc:
     def test_subjects_csv_golden(self, marc_file, capsys):

@@ -7,15 +7,18 @@ import json
 import numpy as np
 import pytest
 
+from metadiv import fitting
 from metadiv.accumulation import AccumulationCurve
 from metadiv.fitting import (
     InsufficientDataError,
+    _initial_params,
     asymptote,
     compare_models,
     fit_model,
     fit_power_law,
 )
-from metadiv.models import PARAM_NAMES, ModelKind, eval_model
+from metadiv.models import (PARAM_FLOORS, PARAM_NAMES, SATURATING, ModelKind, eval_model,
+                            model_gradient)
 
 LOG_GRID = np.unique(np.round(np.geomspace(1, 1e5, 50)).astype(int))
 
@@ -38,6 +41,7 @@ class TestPowerLawFit:
         assert fit.params["alpha"] == pytest.approx(alpha_true, rel=1e-6)
         assert fit.residual < 1e-12
         assert fit.converged
+        assert (fit.iterations, fit.stop_reason) == (0, None)
 
     def test_constant_curve(self):
         curve = AccumulationCurve(points=((1, 5.0), (10, 5.0), (100, 5.0)))
@@ -77,6 +81,8 @@ class TestSaturatingFit:
     def test_m2_noiseless_recovery(self):
         fit = fit_model(synthetic_curve(ModelKind.M2, (50.0, 1000.0)), ModelKind.M2)
         assert fit.converged
+        assert fit.stop_reason in ("param-tol", "cost-tol")
+        assert 1 <= fit.iterations < fitting.MAX_ITER
         assert fit.params["D"] == pytest.approx(50.0, rel=1e-6)
         assert fit.params["c"] == pytest.approx(1000.0, rel=1e-6)
 
@@ -109,7 +115,92 @@ class TestSaturatingFit:
         monkeypatch.setattr("metadiv.fitting.MAX_ITER", 1)
         fit = fit_model(synthetic_curve(ModelKind.M4, (100.0, 5000.0, 0.8)), ModelKind.M4)
         assert fit.converged is False
+        assert (fit.iterations, fit.stop_reason) == (1, "max-iter")
         assert fit.residual >= 0.0
+
+
+def _reference_fit(curve: AccumulationCurve, kind: ModelKind):
+    """The damped Gauss-Newton loop on the public ``eval_model`` and
+    ``model_gradient``, which evaluate the model afresh for every Jacobian.
+
+    Returns (params, residual, converged) for ``fit_model`` to match exactly.
+    """
+    names = PARAM_NAMES[kind]
+    n = curve.ns
+    v = curve.values
+    floor = np.array(PARAM_FLOORS[kind])
+
+    p = np.maximum(_initial_params(kind, n, v), floor)
+    r = v - eval_model(kind, p, n)
+    cost = float(r @ r)
+    lam = 1e-3
+    converged = False
+
+    for _ in range(fitting.MAX_ITER):
+        jac = model_gradient(kind, p, n)
+        grad = jac.T @ r
+        hess = jac.T @ jac
+        scale = np.diag(hess).copy()
+        scale[scale <= 0] = 1e-12
+
+        accepted = False
+        while lam <= 1e12:
+            try:
+                step = np.linalg.solve(hess + lam * np.diag(scale), grad)
+            except np.linalg.LinAlgError:
+                lam *= 10.0
+                continue
+            p_new = np.maximum(p + step, floor)
+            r_new = v - eval_model(kind, p_new, n)
+            cost_new = float(r_new @ r_new)
+            if cost_new <= cost:
+                accepted = True
+                break
+            lam *= 10.0
+        if not accepted:
+            break
+
+        rel_param = float(np.max(np.abs(p_new - p) / np.maximum(np.abs(p), 1e-12)))
+        rel_cost = abs(cost - cost_new) / max(cost, 1e-300)
+        p, r, cost = p_new, r_new, cost_new
+        lam = max(lam * 0.3, 1e-12)
+        if rel_param < fitting.REL_PARAM_TOL or rel_cost < fitting.REL_COST_TOL:
+            converged = True
+            break
+
+    params = {name: float(val) for name, val in zip(names, p)}
+    return params, float(np.sqrt(cost / len(n))), converged
+
+
+# 300 noisy points, n = 100 ... 30,000, from each model form: c = 4,000 for
+# M2-M4, and M1 reaches half its asymptote there.
+ORACLE_FORMS = {
+    ModelKind.POWER_LAW: (6.0, 0.5),
+    ModelKind.M1: (1500.0, np.log(2.0) / 4e3),
+    ModelKind.M2: (1500.0, 4e3),
+    ModelKind.M3: (1500.0, 800.0, 4e3),
+    ModelKind.M4: (1500.0, 4e3, 0.6),
+}
+# (generating form, fitted model) pairs whose fit runs to MAX_ITER.
+ORACLE_MAX_ITER = {(ModelKind.POWER_LAW, ModelKind.M4), (ModelKind.M1, ModelKind.M3)}
+
+
+def _oracle_curve(form: ModelKind) -> AccumulationCurve:
+    n = np.arange(1, 301) * 100.0
+    rng = np.random.default_rng(0)
+    values = eval_model(form, ORACLE_FORMS[form], n) * (1.0 + 0.002 * rng.standard_normal(n.size))
+    return AccumulationCurve(points=tuple((int(k), float(x)) for k, x in zip(n, values)))
+
+
+class TestSolverOracle:
+    @pytest.mark.parametrize("kind", SATURATING, ids=lambda kind: kind.value)
+    @pytest.mark.parametrize("form", list(ORACLE_FORMS), ids=lambda form: form.value)
+    def test_fit_equals_reference(self, form, kind):
+        curve = _oracle_curve(form)
+        fit = fit_model(curve, kind)
+        assert (fit.params, fit.residual, fit.converged) == _reference_fit(curve, kind)
+        if (form, kind) in ORACLE_MAX_ITER:
+            assert (fit.iterations, fit.stop_reason) == (fitting.MAX_ITER, "max-iter")
 
 
 class TestAsymptote:

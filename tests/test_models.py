@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from metadiv.models import PARAM_NAMES, SATURATING, ModelKind, eval_model, model_gradient
+from metadiv.models import FORMS, PARAM_NAMES, SATURATING, ModelKind, eval_model, model_gradient
 
 N_GRID = np.array([0.0, 1.0, 10.0, 500.0, 10_000.0, 1e6])
 
@@ -108,3 +110,85 @@ class TestGradients:
     def test_m4_gradient_finite_at_origin(self):
         grad = model_gradient(ModelKind.M4, (10.0, 5.0, 0.8), np.array([0.0, 1.0]))
         assert np.all(np.isfinite(grad))
+
+
+def _reference_value(kind, p, n):
+    """Each model value written out in one expression, as ``eval_model`` must compute it."""
+    if kind is ModelKind.POWER_LAW:
+        C, alpha = p
+        return C * n**alpha
+    if kind is ModelKind.M1:
+        D, alpha = p
+        return D * (1.0 - np.exp(-alpha * n))
+    if kind is ModelKind.M2:
+        D, c = p
+        return D * n / (n + c)
+    if kind is ModelKind.M3:
+        D, b, c = p
+        return D * (n + b) / (n + c)
+    D, c, alpha = p
+    return D * (n / (n + c)) ** alpha
+
+
+def _reference_gradient(kind, p, n):
+    """Each Jacobian written out column by column, with n = 0 masked out of the logarithms."""
+    if kind is ModelKind.POWER_LAW:
+        C, alpha = p
+        na = n**alpha
+        logn = np.where(n > 0, np.log(np.where(n > 0, n, 1.0)), 0.0)
+        return np.column_stack([na, C * na * logn])
+    if kind is ModelKind.M1:
+        D, alpha = p
+        decay = np.exp(-alpha * n)
+        return np.column_stack([1.0 - decay, D * n * decay])
+    if kind is ModelKind.M2:
+        D, c = p
+        denom = n + c
+        return np.column_stack([n / denom, -D * n / denom**2])
+    if kind is ModelKind.M3:
+        D, b, c = p
+        denom = n + c
+        return np.column_stack([(n + b) / denom, D / denom, -D * (n + b) / denom**2])
+    D, c, alpha = p
+    w = n / (n + c)
+    wa = w**alpha
+    logw = np.where(n > 0, np.log(np.where(n > 0, w, 1.0)), 0.0)
+    return np.column_stack([wa, -D * alpha * wa / (n + c), D * wa * logw])
+
+
+def _decade_params(kind, unit):
+    """Parameters from u in [0, 1]: D, C, c and b over many decades, alpha
+    where n**alpha and w**alpha stay finite."""
+    spans = {"D": (-3, 6), "C": (-3, 6), "c": (-12, 7), "b": (-12, 7), "alpha": (-3, 0.5)}
+    return np.array([10.0 ** (spans[name][0] + u * (spans[name][1] - spans[name][0]))
+                     for name, u in zip(PARAM_NAMES[kind], unit)])
+
+
+KINDS = st.sampled_from(list(ModelKind))
+UNITS = st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3)
+
+
+class TestReferenceFormulas:
+    @given(kind=KINDS, unit=UNITS, ns=st.lists(st.integers(0, 10**7), min_size=1, max_size=40))
+    def test_bit_equal_to_reference(self, kind, unit, ns):
+        # n includes 0, where the logarithms are masked.
+        p = _decade_params(kind, unit)
+        n = np.array(ns, dtype=float)
+        value = eval_model(kind, p, n)
+        assert value.tobytes() == _reference_value(kind, p, n).tobytes()
+        # A scalar n is evaluated as a 0-d array: numpy scalars may round
+        # n**alpha differently.
+        scalar = np.asarray(ns[0], dtype=float)
+        assert eval_model(kind, p, ns[0]) == float(_reference_value(kind, p, scalar))
+        assert model_gradient(kind, p, n).tobytes() == _reference_gradient(kind, p, n).tobytes()
+
+    @given(kind=KINDS, unit=UNITS, ns=st.lists(st.integers(1, 10**7), min_size=1, max_size=40))
+    def test_solver_forms_equal_public_functions(self, kind, unit, ns):
+        # The fitting solver calls the pairs directly, with unmasked logarithms.
+        p = _decade_params(kind, unit)
+        n = np.array(ns, dtype=float)
+        value_at, jacobian = FORMS[kind]
+        value, parts = value_at(p, n)
+        assert np.array_equal(value, eval_model(kind, p, n))
+        jac = jacobian(p, n, parts, np.empty((len(n), len(p))), None)
+        assert np.array_equal(jac, model_gradient(kind, p, n))
