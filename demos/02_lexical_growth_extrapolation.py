@@ -16,10 +16,9 @@ from metadiv import (
     ModelKind,
     asymptote,
     compare_models,
-    diversity_growth,
     fit_model,
     fit_power_law,
-    vocabulary_growth,
+    growth_curves,
 )
 from metadiv.synthetic import zipf_corpus, zipf_true_diversity
 
@@ -28,9 +27,8 @@ tokens = zipf_corpus(N_TOKENS, N_TYPES, exponent=1.0, seed=42)
 true_d = zipf_true_diversity(N_TYPES, exponent=1.0)
 print(f"corpus: {N_TOKENS} tokens over {N_TYPES} types, true diversity {true_d:.1f}")
 
-schedule = CheckpointSchedule.every(100)
-vocab = vocabulary_growth(tokens, schedule)
-diversity = diversity_growth(tokens, schedule, order=1.0)
+# One pass over the tokens gives both curves at every 100th token.
+vocab, diversity = growth_curves(tokens, CheckpointSchedule.every(100), order=1.0)
 
 # The unbounded side: vocabulary follows a power law in n.
 power = fit_power_law(vocab)

@@ -10,6 +10,7 @@ from .accumulation import (
     AccumulationCurve,
     CheckpointSchedule,
     diversity_growth,
+    growth_curves,
     vocabulary_growth,
 )
 from .diversity import (
@@ -49,6 +50,7 @@ __all__ = [
     "eval_model",
     "fit_model",
     "fit_power_law",
+    "growth_curves",
     "hill_diversity",
     "lexical_report",
     "model_gradient",

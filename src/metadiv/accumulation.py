@@ -3,18 +3,17 @@
 A curve records a statistic of the first ``n`` events at a series of
 checkpoints: the number of distinct labels seen (vocabulary growth) or the
 Hill diversity of the running frequency distribution.  One pass interns the
-labels and adds their ids into a dense count vector at each checkpoint, so
-memory grows with the number of types, not with the stream.
+labels and adds their ids into a dense count vector, giving both statistics at
+each checkpoint; memory grows with the number of types, not with the stream.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import math
 from collections import defaultdict
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import count, islice
 
 import numpy as np
@@ -26,6 +25,7 @@ __all__ = [
     "AccumulationCurve",
     "vocabulary_growth",
     "diversity_growth",
+    "growth_curves",
 ]
 
 
@@ -65,29 +65,30 @@ class CheckpointSchedule:
 class AccumulationCurve:
     """Ordered (n, value) checkpoints of a growing statistic.
 
-    ``statistic`` is ``type-count`` or ``diversity``.
+    ``statistic`` is ``type-count`` or ``diversity``; ``ns`` and ``values`` are
+    the two columns as read-only float arrays.
     """
 
     points: tuple[tuple[int, float], ...]
     statistic: str = "diversity"
+    ns: np.ndarray = field(init=False, repr=False, compare=False)
+    values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        ns = [n for n, _ in self.points]
-        if any(n < 1 for n in ns):
+        ns = np.array([n for n, _ in self.points], dtype=float)
+        values = np.array([v for _, v in self.points], dtype=float)
+        if np.any(ns < 1):
             raise ValueError("checkpoint positions must be >= 1")
-        if any(b <= a for a, b in zip(ns, ns[1:])):
+        if np.any(ns[1:] <= ns[:-1]):
             raise ValueError("checkpoint positions must be strictly increasing")
+        if not np.isfinite(values).all():
+            raise ValueError("curve values must be finite")
+        ns.flags.writeable = values.flags.writeable = False
+        object.__setattr__(self, "ns", ns)
+        object.__setattr__(self, "values", values)
 
     def __len__(self) -> int:
         return len(self.points)
-
-    @property
-    def ns(self) -> np.ndarray:
-        return np.array([n for n, _ in self.points], dtype=float)
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.array([v for _, v in self.points], dtype=float)
 
     def truncated(self, n_max: int) -> AccumulationCurve:
         """Sub-curve of checkpoints with n <= n_max."""
@@ -99,13 +100,9 @@ class AccumulationCurve:
         Type counts are written as integers, other statistics with four
         decimals.
         """
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["n", "value"])
-        for n, v in self.points:
-            value = str(int(v)) if self.statistic == "type-count" else f"{v:.4f}"
-            writer.writerow([n, value])
-        return buf.getvalue()
+        counted = self.statistic == "type-count"
+        rows = (f"{n},{int(v)}" if counted else f"{n},{v:.4f}" for n, v in self.points)
+        return "\n".join(["n,value", *rows]) + "\n"
 
     @classmethod
     def from_csv(cls, source) -> AccumulationCurve:
@@ -155,8 +152,8 @@ _FLUSH_EVENTS = 4096  # ids reach the counts at least this often: O(types) memor
 
 def _growth(
     events: Iterable[str], schedule: CheckpointSchedule, order: float | None
-) -> tuple[tuple[int, float], ...]:
-    """(n, value) checkpoints of the type count (``order`` None) or Hill diversity.
+) -> tuple[AccumulationCurve, AccumulationCurve]:
+    """Type-count and Hill-diversity curves from one pass; ``order`` None keeps no counts.
 
     Labels get ids in first-seen order, so ``counts[:R]`` lists the per-type
     counts as a label -> count dict iterates them: the Hill sum adds the same
@@ -165,8 +162,8 @@ def _growth(
     """
     ids: defaultdict[str, int] = defaultdict(count().__next__)  # a new label gets the next id
     stream = iter(events)
-    counts = np.zeros(0)
-    points: list[tuple[int, float]] = []
+    counts = probs = terms = np.zeros(0)  # probs and terms: reused by each Hill sum
+    types, hills = [], []  # (n, value) rows; hills stays empty when ``order`` is None
     positions = schedule.positions()
     target = next(positions, None)
     n = 0
@@ -178,14 +175,17 @@ def _growth(
         if order is not None:  # a type count needs no per-type counts
             if r > counts.size:
                 counts = np.concatenate((counts, np.zeros(r)))
+                probs, terms = np.empty_like(counts), np.empty_like(counts)
             np.add.at(counts, np.array(chunk, dtype=np.intp), 1.0)
         ended = n < stop
-        if n == target or (ended and n > 0 and (not points or points[-1][0] != n)):
-            value = float(r) if order is None else hill_from_probabilities(counts[:r] / n, order)
-            points.append((n, value))
+        if n == target or (ended and n > 0 and (not types or types[-1][0] != n)):
+            types.append((n, float(r)))
+            if order is not None:
+                p = np.divide(counts[:r], n, out=probs[:r])
+                hills.append((n, hill_from_probabilities(p, order, out=terms[:r])))
             target = next(positions, None)
         if ended:
-            return tuple(points)
+            return AccumulationCurve(tuple(types), "type-count"), AccumulationCurve(tuple(hills))
 
 
 def vocabulary_growth(events: Iterable[str], schedule: CheckpointSchedule) -> AccumulationCurve:
@@ -194,12 +194,17 @@ def vocabulary_growth(events: Iterable[str], schedule: CheckpointSchedule) -> Ac
     The final checkpoint at the stream end is always included.  An empty
     stream yields an empty curve.
     """
-    return AccumulationCurve(_growth(events, schedule, None), statistic="type-count")
+    return _growth(events, schedule, None)[0]
 
 
 def diversity_growth(
     events: Iterable[str], schedule: CheckpointSchedule, order: float = 1.0
 ) -> AccumulationCurve:
     """Hill diversity of the first n events, per checkpoint, in one pass."""
-    order = _check_order(order)
-    return AccumulationCurve(_growth(events, schedule, order), statistic="diversity")
+    return growth_curves(events, schedule, order)[1]
+
+
+def growth_curves(events: Iterable[str], schedule: CheckpointSchedule,
+                  order: float = 1.0) -> tuple[AccumulationCurve, AccumulationCurve]:
+    """``vocabulary_growth`` and ``diversity_growth`` of the events, from one pass."""
+    return _growth(events, schedule, _check_order(order))

@@ -83,17 +83,20 @@ def _check_order(order: float) -> float:
     return order
 
 
-def _entropy_from_probabilities(p: np.ndarray) -> float:
-    return float(-np.sum(p * np.log(p)))
+def _entropy_from_probabilities(p: np.ndarray, out: np.ndarray | None = None) -> float:
+    return float(-np.multiply(p, np.log(p, out=out), out=out).sum())
 
 
-def hill_from_probabilities(p: np.ndarray, order: float) -> float:
-    """Hill diversity of a probability vector (all entries strictly positive)."""
+def hill_from_probabilities(p: np.ndarray, order: float, *, out: np.ndarray | None = None) -> float:
+    """Hill diversity of a probability vector (all entries strictly positive).
+
+    ``out``, shaped like ``p``, takes the order-1 terms p log p instead of a new array.
+    """
     order = _check_order(order)
     if p.size == 0:
         raise ValueError("diversity of an empty distribution is undefined")
     if abs(order - 1.0) < ORDER_ONE_EPS:
-        return float(np.exp(_entropy_from_probabilities(p)))
+        return float(np.exp(_entropy_from_probabilities(p, out)))
     return float(np.sum(p**order) ** (1.0 / (1.0 - order)))
 
 
@@ -119,13 +122,9 @@ def hill_diversity(dist: FrequencyDistribution, order: float) -> float:
     The result always lies in [1, richness]: order 0 counts every class
     equally, and increasing the order discounts rare classes.
     """
-    if dist.total == 0:
-        raise ValueError("diversity of an empty distribution is undefined")
-    return hill_from_probabilities(dist.probabilities(), order)
+    return hill_from_probabilities(dist.probabilities(), order)  # raises if empty
 
 
 def diversity_richness_ratio(dist: FrequencyDistribution, order: float = 1.0) -> float:
     """Diversity divided by richness: evenness of usage of the observed classes."""
-    if dist.total == 0:
-        raise ValueError("diversity/richness of an empty distribution is undefined")
-    return hill_diversity(dist, order) / richness(dist)
+    return hill_diversity(dist, order) / richness(dist)  # hill_diversity raises if empty

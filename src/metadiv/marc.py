@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from itertools import accumulate, chain
 from xml.etree import ElementTree
 
-from .accumulation import CheckpointSchedule, diversity_growth, vocabulary_growth
+from .accumulation import CheckpointSchedule, growth_curves
+from .accumulation import diversity_growth, vocabulary_growth  # noqa: F401  perfbench/spans.py wraps them here
 from .diversity import _check_order
 
 __all__ = [
@@ -356,13 +357,8 @@ def facet_series(
 
     years = sorted(buckets)
     ends = list(accumulate(buckets[year].total() for year in years))
-    schedule = CheckpointSchedule.explicit(ends)
-
-    def events() -> Iterator[str]:
-        return chain.from_iterable(buckets[year].elements() for year in years)
-
-    rich_curve = vocabulary_growth(events(), schedule)
-    div_curve = diversity_growth(events(), schedule, order)
+    events = chain.from_iterable(buckets[year].elements() for year in years)
+    rich_curve, div_curve = growth_curves(events, CheckpointSchedule.explicit(ends), order)
     rows = tuple(
         (year, int(rich), div)
         for year, (_, rich), (_, div) in zip(years, rich_curve.points, div_curve.points)

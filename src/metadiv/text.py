@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accumulation import AccumulationCurve, CheckpointSchedule, diversity_growth, vocabulary_growth
+from .accumulation import AccumulationCurve, CheckpointSchedule, growth_curves
+from .accumulation import diversity_growth, vocabulary_growth  # noqa: F401  perfbench/spans.py wraps them here
 from .diversity import _check_order
 from .fitting import (FitResult, InsufficientDataError, ModelKind, RankedModel, compare_models,
                       fit_model, fit_power_law)
@@ -105,10 +106,7 @@ def lexical_report(
     order = _check_order(order)
     if len(tokens) == 0:
         raise ValueError("document contains no tokens")
-    if schedule is None:
-        schedule = CheckpointSchedule.every(100)
-    vocab = vocabulary_growth(tokens, schedule)
-    div = diversity_growth(tokens, schedule, order)
+    vocab, div = growth_curves(tokens, schedule or CheckpointSchedule.every(100), order)
 
     power = fit_power_law(vocab)
     m4 = fit_model(div, ModelKind.M4)

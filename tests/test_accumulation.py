@@ -17,6 +17,7 @@ from metadiv.accumulation import (
     AccumulationCurve,
     CheckpointSchedule,
     diversity_growth,
+    growth_curves,
     vocabulary_growth,
 )
 from metadiv.diversity import FrequencyDistribution, hill_diversity, hill_from_probabilities
@@ -181,7 +182,23 @@ class TestGrowthKernel:
                 curve = diversity_growth(iter(events), schedule, order)
         assert curve.points == from_scratch(events, schedule, order)
 
-    @pytest.mark.parametrize("grow", [vocabulary_growth, diversity_growth])
+    @settings(max_examples=300)
+    @given(
+        stream_and_schedule(),
+        st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.7]),
+        st.sampled_from([1, 3, 4096]),
+    )
+    def test_growth_curves_equal_both_views(self, case, order, flush_events):
+        """One pass gives the curves of the two single-statistic passes, bit for bit."""
+        events, schedule = case
+        with mock.patch.object(accumulation, "_FLUSH_EVENTS", flush_events):
+            types, hills = growth_curves(iter(events), schedule, order)
+            assert types == vocabulary_growth(iter(events), schedule)
+            assert hills == diversity_growth(iter(events), schedule, order)
+        assert types.points == from_scratch(events, schedule, None)
+        assert hills.points == from_scratch(events, schedule, order)
+
+    @pytest.mark.parametrize("grow", [vocabulary_growth, diversity_growth, growth_curves])
     def test_memory_independent_of_stream_length(self, grow):
         labels = [f"w{i}" for i in range(1000)]
 
@@ -203,6 +220,18 @@ class TestCurveContainer:
     def test_positions_must_increase(self):
         with pytest.raises(ValueError):
             AccumulationCurve(points=((2, 1.0), (2, 2.0)))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_values_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            AccumulationCurve(points=((1, 1.0), (2, bad), (3, 2.0), (4, 2.5)))
+
+    def test_columns_are_built_once_and_read_only(self):
+        curve = AccumulationCurve(points=((1, 1.0), (5, 2.0), (9, 3.0)))
+        assert curve.ns is curve.ns and curve.values is curve.values
+        assert curve.ns.tolist() == [1.0, 5.0, 9.0] and curve.values.tolist() == [1.0, 2.0, 3.0]
+        with pytest.raises(ValueError):
+            curve.values[0] = 0.0
 
     def test_truncated(self):
         curve = AccumulationCurve(points=((1, 1.0), (5, 2.0), (9, 3.0)))

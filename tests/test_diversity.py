@@ -13,6 +13,7 @@ from metadiv.diversity import (
     FrequencyDistribution,
     diversity_richness_ratio,
     hill_diversity,
+    hill_from_probabilities,
     richness,
     shannon_entropy,
 )
@@ -189,3 +190,23 @@ class TestInvariants:
             assert hill_diversity(scaled, order) == pytest.approx(
                 hill_diversity(base, order), rel=1e-12
             )
+
+
+class TestScratchBuffer:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([1, 2, 7, 8_191, 8_192, 8_193, 20_000]),  # numpy sums in blocks of 8,192
+        st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.7]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_buffered_equals_allocating(self, size, order, seed):
+        """``out=`` changes no bit of the result and never writes ``p``."""
+        counts = np.random.default_rng(seed).zipf(1.3, size=size).astype(float)
+        p = counts / counts.sum()
+        before = p.tobytes()
+        out = np.empty(size + 3)[:size]  # a prefix view, as the growth kernel passes
+        buffered = hill_from_probabilities(p, order, out=out)
+        assert p.tobytes() == before
+        assert buffered == hill_from_probabilities(p, order)
+        if order == 1.0:  # the allocating expression written out
+            assert buffered == float(np.exp(float(-np.sum(p * np.log(p)))))
