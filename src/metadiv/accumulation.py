@@ -150,20 +150,21 @@ class AccumulationCurve:
 _FLUSH_EVENTS = 4096  # ids reach the counts at least this often: O(types) memory
 
 
-def _growth(
-    events: Iterable[str], schedule: CheckpointSchedule, order: float | None
-) -> tuple[AccumulationCurve, AccumulationCurve]:
-    """Type-count and Hill-diversity curves from one pass; ``order`` None keeps no counts.
+def growth_curves(events: Iterable[str], schedule: CheckpointSchedule,
+                  order: float = 1.0) -> tuple[AccumulationCurve, AccumulationCurve]:
+    """Type-count and Hill-diversity curves of the events, from one pass.
 
     Labels get ids in first-seen order, so ``counts[:R]`` lists the per-type
     counts as a label -> count dict iterates them: the Hill sum adds the same
     terms in the same order as a from-scratch count of the prefix.  The final
-    checkpoint at the stream end is always included.
+    checkpoint at the stream end is always included; an empty stream yields
+    two empty curves.
     """
+    order = _check_order(order)
     ids: defaultdict[str, int] = defaultdict(count().__next__)  # a new label gets the next id
     stream = iter(events)
     counts = probs = terms = np.zeros(0)  # probs and terms: reused by each Hill sum
-    types, hills = [], []  # (n, value) rows; hills stays empty when ``order`` is None
+    types, hills = [], []  # (n, value) rows
     positions = schedule.positions()
     target = next(positions, None)
     n = 0
@@ -172,29 +173,23 @@ def _growth(
         chunk = list(map(ids.__getitem__, islice(stream, stop - n)))
         n += len(chunk)
         r = len(ids)
-        if order is not None:  # a type count needs no per-type counts
-            if r > counts.size:
-                counts = np.concatenate((counts, np.zeros(r)))
-                probs, terms = np.empty_like(counts), np.empty_like(counts)
-            np.add.at(counts, np.array(chunk, dtype=np.intp), 1.0)
+        if r > counts.size:
+            counts = np.concatenate((counts, np.zeros(r)))
+            probs, terms = np.empty_like(counts), np.empty_like(counts)
+        np.add.at(counts, np.array(chunk, dtype=np.intp), 1.0)
         ended = n < stop
         if n == target or (ended and n > 0 and (not types or types[-1][0] != n)):
             types.append((n, float(r)))
-            if order is not None:
-                p = np.divide(counts[:r], n, out=probs[:r])
-                hills.append((n, hill_from_probabilities(p, order, out=terms[:r])))
+            p = np.divide(counts[:r], n, out=probs[:r])
+            hills.append((n, hill_from_probabilities(p, order, out=terms[:r])))
             target = next(positions, None)
         if ended:
             return AccumulationCurve(tuple(types), "type-count"), AccumulationCurve(tuple(hills))
 
 
 def vocabulary_growth(events: Iterable[str], schedule: CheckpointSchedule) -> AccumulationCurve:
-    """Number of distinct labels among the first n events, per checkpoint.
-
-    The final checkpoint at the stream end is always included.  An empty
-    stream yields an empty curve.
-    """
-    return _growth(events, schedule, None)[0]
+    """Number of distinct labels among the first n events, per checkpoint."""
+    return growth_curves(events, schedule)[0]
 
 
 def diversity_growth(
@@ -202,9 +197,3 @@ def diversity_growth(
 ) -> AccumulationCurve:
     """Hill diversity of the first n events, per checkpoint, in one pass."""
     return growth_curves(events, schedule, order)[1]
-
-
-def growth_curves(events: Iterable[str], schedule: CheckpointSchedule,
-                  order: float = 1.0) -> tuple[AccumulationCurve, AccumulationCurve]:
-    """``vocabulary_growth`` and ``diversity_growth`` of the events, from one pass."""
-    return _growth(events, schedule, _check_order(order))

@@ -33,14 +33,21 @@ ORDER_ONE_EPS = 1e-9
 
 @dataclass(frozen=True)
 class FrequencyDistribution:
-    """Immutable label -> count multiset with a precomputed total.
+    """Immutable label -> count multiset with a derived total.
 
-    Zero-count classes are never stored, so every stored count is >= 1 and
-    ``total`` equals the sum of the stored counts.
+    Zero-count classes are never stored, so every stored count is >= 1 (a
+    count below 1 raises ``ValueError``) and ``total`` is the sum of the
+    stored counts.
     """
 
     counts: Mapping[str, int] = field(default_factory=dict)
-    total: int = 0
+    total: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        low = min(self.counts.values(), default=1)
+        if low < 1:
+            raise ValueError(f"every count must be >= 1, got {low}")
+        object.__setattr__(self, "total", sum(self.counts.values()))
 
     @classmethod
     def from_counts(cls, pairs: Iterable[tuple[str, int]]) -> FrequencyDistribution:
@@ -57,7 +64,7 @@ class FrequencyDistribution:
             if count == 0:
                 continue
             merged[label] = merged.get(label, 0) + count
-        return cls(counts=merged, total=sum(merged.values()))
+        return cls(counts=merged)
 
     @classmethod
     def from_events(cls, events: Iterable[str]) -> FrequencyDistribution:
@@ -73,7 +80,7 @@ class FrequencyDistribution:
     def probabilities(self) -> np.ndarray:
         """Relative abundances p_n = count_n / total."""
         counts = np.fromiter(self.counts.values(), dtype=float, count=len(self.counts))
-        return counts / float(self.total) if self.total else counts
+        return counts / float(self.total)
 
 
 def _check_order(order: float) -> float:

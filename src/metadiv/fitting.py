@@ -10,12 +10,13 @@ are solved with the analytic Jacobian from :mod:`metadiv.models`, the
 damping factor adapting until the step reduces the squared residual.
 Parameters are kept in their valid region by projection onto the bounds.
 
-Each model is evaluated once per trial step: the value function returns the
-intermediates its Jacobian reads (``n + c``, ``w**alpha``, ``exp(-alpha*n)``
-and the like), and the Jacobian at an accepted step is built from the
-trial's intermediates into one buffer per fit, with the same floating-point
-operations as ``eval_model`` and ``model_gradient``.  A fit reports how many
-Jacobians it evaluated and why it stopped: a relative parameter change
+Each model is evaluated once per trial step: its ``form`` in
+:data:`metadiv.models.FORMS` returns the value and a Jacobian closure over
+the value's intermediates, and the Jacobian at an accepted step is built by
+that trial's closure into one buffer per fit, with the same floating-point
+operations as ``eval_model`` and ``model_gradient``.  The cold start and
+the projection floors come from the same ``FORMS`` row.  A fit reports how
+many Jacobians it evaluated and why it stopped: a relative parameter change
 below ``REL_PARAM_TOL`` (``param-tol``), a relative cost change below
 ``REL_COST_TOL`` (``cost-tol``), no damping up to 1e12 that reduces the
 cost (``damping-exhausted``), or ``MAX_ITER`` iterations (``max-iter``).
@@ -30,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .accumulation import AccumulationCurve
-from .models import FORMS, PARAM_FLOORS, PARAM_NAMES, SATURATING, ModelKind, eval_model
+from .models import FORMS, SATURATING, ModelKind, eval_model
 # perfbench/spans.py wraps metadiv.fitting.model_gradient, so the name stays importable here.
 from .models import model_gradient  # noqa: F401
 
@@ -75,7 +76,7 @@ class FitResult:
     stop_reason: str | None = None
 
     def param_vector(self) -> np.ndarray:
-        return np.array([self.params[name] for name in PARAM_NAMES[self.kind]])
+        return np.array([self.params[name] for name in FORMS[self.kind].names])
 
     def predict(self, n):
         return eval_model(self.kind, self.param_vector(), n)
@@ -128,14 +129,7 @@ def _initial_params(kind: ModelKind, n: np.ndarray, v: np.ndarray) -> np.ndarray
     # np.interp wants increasing sample points; a growth curve is close
     # enough for a starting guess, and flat curves fall back to the left edge.
     c0 = float(np.interp(half, v, n)) if v[-1] >= half else float(n[-1])
-    c0 = max(c0, 1e-6)
-    if kind is ModelKind.M1:
-        return np.array([d0, 1.0 / c0])
-    if kind is ModelKind.M2:
-        return np.array([d0, c0])
-    if kind is ModelKind.M3:
-        return np.array([d0, 0.0, c0])
-    return np.array([d0, c0, 1.0])
+    return np.array(FORMS[kind].start(d0, max(c0, 1e-6)))
 
 
 def fit_model(curve: AccumulationCurve, kind: ModelKind) -> FitResult:
@@ -146,21 +140,20 @@ def fit_model(curve: AccumulationCurve, kind: ModelKind) -> FitResult:
     """
     if kind not in SATURATING:
         raise ValueError(f"{kind.name} is not a saturating model")
-    names = PARAM_NAMES[kind]
+    names, form, floors, _ = FORMS[kind]
     if len(curve) < len(names) + 1:
         raise InsufficientDataError(
             f"{kind.name} fit needs at least {len(names) + 1} points, got {len(curve)}"
         )
     n = curve.ns
     v = curve.values
-    floor = np.array(PARAM_FLOORS[kind])
-    value_at, jacobian = FORMS[kind]
+    floor = np.array(floors)
     # C order, the layout of model_gradient's result, so that jac.T @ jac
     # takes the same BLAS route and rounds the same.
     jac = np.empty((len(n), len(names)))
 
     p = np.maximum(_initial_params(kind, n, v), floor)
-    value, parts = value_at(p, n)
+    value, jacobian = form(p, n)
     r = np.subtract(v, value, out=value)
     cost = float(r @ r)
     lam = 1e-3
@@ -169,9 +162,9 @@ def fit_model(curve: AccumulationCurve, kind: ModelKind) -> FitResult:
 
     while iterations < MAX_ITER:
         iterations += 1
-        # ``parts`` are the intermediates of the value at p; every n of a
-        # curve is >= 1, so the Jacobian takes its logarithms unmasked.
-        jacobian(p, n, parts, jac, None)
+        # ``jacobian`` is the closure of the value at p; every n of a curve
+        # is >= 1, so it takes its logarithms unmasked.
+        jacobian(jac, None)
         grad = jac.T @ r
         hess = jac.T @ jac
         scale = np.diag(hess).copy()
@@ -186,7 +179,10 @@ def fit_model(curve: AccumulationCurve, kind: ModelKind) -> FitResult:
                 lam *= 10.0
                 continue
             p_new = np.maximum(p + step, floor)
-            value, parts = value_at(p_new, n)
+            # Each trial rebinds ``jacobian``, so one trial's intermediates are
+            # alive at a time; keeping the accepted step's through the trials
+            # measured slower.
+            value, jacobian = form(p_new, n)
             r_new = np.subtract(v, value, out=value)
             cost_new = float(r_new @ r_new)
             if cost_new <= cost:

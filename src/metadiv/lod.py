@@ -142,6 +142,8 @@ class EndpointConfig:
     def __post_init__(self) -> None:
         if self.page_size < 1:
             raise ValueError("page size must be >= 1")
+        if not 0.0 < self.timeout < float("inf"):  # also rejects nan
+            raise ValueError(f"timeout must be finite and > 0, got {self.timeout}")
         if self.delay_ms < 0:
             raise ValueError("politeness delay must be >= 0")
 

@@ -48,6 +48,18 @@ class TestConstruction:
         with pytest.raises(ValueError):
             FrequencyDistribution.from_counts([("a", -1)])
 
+    def test_constructor_derives_total(self):
+        d = FrequencyDistribution({"a": 2, "b": 1})
+        assert d == FrequencyDistribution.from_counts([("a", 2), ("b", 1)])
+        assert d.total == 3 and d
+        assert hill_diversity(d, 1.0) == pytest.approx(3 / 2 ** (2 / 3))
+        assert shannon_entropy(d) == pytest.approx(math.log(3) - 2 / 3 * math.log(2))
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_constructor_rejects_count_below_one(self, count):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            FrequencyDistribution({"a": 2, "b": count})
+
     def test_from_events(self):
         d = FrequencyDistribution.from_events("abcabcaa")
         assert d.counts == {"a": 4, "b": 2, "c": 2}

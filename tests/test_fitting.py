@@ -17,8 +17,7 @@ from metadiv.fitting import (
     fit_model,
     fit_power_law,
 )
-from metadiv.models import (PARAM_FLOORS, PARAM_NAMES, SATURATING, ModelKind, eval_model,
-                            model_gradient)
+from metadiv.models import FORMS, SATURATING, ModelKind, eval_model, model_gradient
 
 LOG_GRID = np.unique(np.round(np.geomspace(1, 1e5, 50)).astype(int))
 
@@ -125,10 +124,10 @@ def _reference_fit(curve: AccumulationCurve, kind: ModelKind):
 
     Returns (params, residual, converged) for ``fit_model`` to match exactly.
     """
-    names = PARAM_NAMES[kind]
+    names = FORMS[kind].names
     n = curve.ns
     v = curve.values
-    floor = np.array(PARAM_FLOORS[kind])
+    floor = np.array(FORMS[kind].floors)
 
     p = np.maximum(_initial_params(kind, n, v), floor)
     r = v - eval_model(kind, p, n)
@@ -251,6 +250,6 @@ class TestFitResultSerialization:
         payload = json.loads(json.dumps(fit.to_dict()))
         assert payload.keys() == {"kind", "params", "residual", "n_points", "converged"}
         assert payload["kind"] == "m2"
-        assert payload["params"].keys() == set(PARAM_NAMES[ModelKind.M2])
+        assert payload["params"].keys() == set(FORMS[ModelKind.M2].names)
         assert payload["converged"] is True
         assert payload["n_points"] == len(LOG_GRID)

@@ -384,6 +384,8 @@ class TestShippedData:
         ([{"name": "X", "url": "http://x/sparql", "page_size": 0}], "entry 0 .*page size"),
         (["http://x/sparql"], "entry 0"),
         pytest.param('[{"name": "X",', "not valid JSON: ", id="truncated"),
+        *(pytest.param([{"name": "X", "url": "http://x/sparql", "timeout": t}],
+                       "entry 0 .*timeout", id=f"timeout-{t}") for t in (0, -1, "nan")),
     ])
     def test_malformed_roster_names_file_and_entry(self, tmp_path, entries, problem):
         path = tmp_path / "roster.json"

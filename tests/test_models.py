@@ -7,9 +7,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from metadiv.models import FORMS, PARAM_NAMES, SATURATING, ModelKind, eval_model, model_gradient
+from metadiv.models import FORMS, SATURATING, ModelKind, eval_model, model_gradient
 
 N_GRID = np.array([0.0, 1.0, 10.0, 500.0, 10_000.0, 1e6])
+
+
+class TestFormTable:
+    def test_one_row_per_kind(self):
+        assert set(FORMS) == set(ModelKind)
+        assert SATURATING == (ModelKind.M1, ModelKind.M2, ModelKind.M3, ModelKind.M4)
+        for kind in SATURATING:
+            names, _, floors, start = FORMS[kind]
+            assert len(floors) == len(names) == len(start(10.0, 5.0)), kind
 
 
 class TestEvalModel:
@@ -87,7 +96,7 @@ def _central_difference(kind, params, n, j, h):
 
 
 class TestGradients:
-    @pytest.mark.parametrize("kind", list(PARAM_NAMES))
+    @pytest.mark.parametrize("kind", list(FORMS))
     def test_matches_central_differences(self, kind):
         rng = np.random.default_rng(1234)
         n = np.array([1.0, 17.0, 400.0, 9_000.0, 120_000.0])
@@ -161,7 +170,7 @@ def _decade_params(kind, unit):
     where n**alpha and w**alpha stay finite."""
     spans = {"D": (-3, 6), "C": (-3, 6), "c": (-12, 7), "b": (-12, 7), "alpha": (-3, 0.5)}
     return np.array([10.0 ** (spans[name][0] + u * (spans[name][1] - spans[name][0]))
-                     for name, u in zip(PARAM_NAMES[kind], unit)])
+                     for name, u in zip(FORMS[kind].names, unit)])
 
 
 KINDS = st.sampled_from(list(ModelKind))
@@ -184,11 +193,10 @@ class TestReferenceFormulas:
 
     @given(kind=KINDS, unit=UNITS, ns=st.lists(st.integers(1, 10**7), min_size=1, max_size=40))
     def test_solver_forms_equal_public_functions(self, kind, unit, ns):
-        # The fitting solver calls the pairs directly, with unmasked logarithms.
+        # The fitting solver calls the forms directly, with unmasked logarithms.
         p = _decade_params(kind, unit)
         n = np.array(ns, dtype=float)
-        value_at, jacobian = FORMS[kind]
-        value, parts = value_at(p, n)
+        value, jacobian = FORMS[kind].form(p, n)
         assert np.array_equal(value, eval_model(kind, p, n))
-        jac = jacobian(p, n, parts, np.empty((len(n), len(p))), None)
+        jac = jacobian(np.empty((len(n), len(p))), None)
         assert np.array_equal(jac, model_gradient(kind, p, n))
