@@ -54,16 +54,16 @@ class FrequencyDistribution:
         """Build a distribution from (label, count) pairs.
 
         Duplicate labels are merged by summation and zero-count entries are
-        dropped.  Negative counts raise ``ValueError``.
+        dropped.  Negative or fractional counts raise ``ValueError``.
         """
         merged: dict[str, int] = {}
         for label, count in pairs:
-            count = int(count)
-            if count < 0:
-                raise ValueError(f"negative count {count} for label {label!r}")
-            if count == 0:
+            whole = int(count)
+            if whole != count or whole < 0:
+                raise ValueError(f"count {count} for label {label!r} is not a whole number >= 0")
+            if whole == 0:
                 continue
-            merged[label] = merged.get(label, 0) + count
+            merged[label] = merged.get(label, 0) + whole
         return cls(counts=merged)
 
     @classmethod

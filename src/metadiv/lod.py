@@ -7,7 +7,8 @@ grouped query, retrieval falls back to a partitioned two-phase strategy:
 enumerate the distinct keys page by page, then count per key in batches via
 VALUES clauses.  Every harvester takes one ``SparqlClient``, which holds the
 endpoint's config and transport; its requests are strictly sequential and
-separated by a politeness delay.
+separated by a politeness delay.  The default transport, ``HttpTransport``,
+speaks the SPARQL 1.1 Protocol through the standard library's urllib.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from importlib import resources
 from typing import NamedTuple, Protocol
+from urllib.parse import urlencode, urlsplit
 
 from .diversity import FrequencyDistribution, hill_diversity, richness
 
@@ -140,6 +142,9 @@ class EndpointConfig:
     delay_ms: int = 0
 
     def __post_init__(self) -> None:
+        parts = urlsplit(str(self.url))
+        if not (parts.scheme in ("http", "https") and parts.hostname and str(self.url).isascii()):
+            raise ValueError(f"url must be an ASCII http(s) URL with a host, got {self.url!r}")
         if self.page_size < 1:
             raise ValueError("page size must be >= 1")
         if not 0.0 < self.timeout < float("inf"):  # also rejects nan
@@ -168,39 +173,45 @@ class HttpTransport:
     """SPARQL Protocol over HTTP with sparql-results+json responses.
 
     Short queries travel as GET parameters, long ones (partitioned VALUES
-    batches) as form-encoded POST.  Proxy environment variables are honored
-    by the underlying session.
+    batches) as form-encoded POST.  The proxy environment variables are read
+    when the transport is made; gzip answers are accepted.  Each request
+    opens its own connection, and TLS is checked against the system CA store.
     """
 
     def __init__(self) -> None:
-        import requests
+        import urllib.request
 
-        self._session = requests.Session()
+        # not urlopen: its shared opener reads the proxy variables only once
+        self._opener = urllib.request.build_opener()
 
     def select(self, url: str, query: str, timeout: float) -> SparqlResult:
-        import requests
+        import zlib
+        from http.client import HTTPException
+        from urllib.error import HTTPError
+        from urllib.request import Request
 
-        headers = {"Accept": "application/sparql-results+json"}
+        form = urlencode({"query": query})
+        headers = {"Accept": "application/sparql-results+json", "Accept-Encoding": "gzip"}
+        if len(query) <= _GET_QUERY_LIMIT:
+            request = Request(url + ("&" if "?" in url else "?") + form, headers=headers)
+        else:
+            request = Request(url, data=form.encode(), headers=headers)
         try:
-            if len(query) <= _GET_QUERY_LIMIT:
-                response = self._session.get(
-                    url, params={"query": query}, headers=headers, timeout=timeout
-                )
-            else:
-                response = self._session.post(
-                    url, data={"query": query}, headers=headers, timeout=timeout
-                )
-        except requests.Timeout as exc:
-            raise QueryTimeout(f"{url}: no answer within {timeout}s") from exc
-        except requests.RequestException as exc:
+            with self._opener.open(request, timeout=timeout) as response:
+                status, body = response.status, response.read()
+                if status == 200 and response.headers.get("Content-Encoding") == "gzip":
+                    body = zlib.decompress(body, wbits=31)
+        except HTTPError as exc:
+            exc.close()
+            status = exc.code
+        except (OSError, HTTPException, zlib.error) as exc:
+            if isinstance(getattr(exc, "reason", exc), TimeoutError):
+                raise QueryTimeout(f"{url}: no answer within {timeout}s") from exc
             raise TransportError(f"{url}: {exc}") from exc
-        if response.status_code != 200:
-            raise EndpointError(
-                f"{url}: HTTP {response.status_code}", status=response.status_code
-            )
+        if status != 200:
+            raise EndpointError(f"{url}: HTTP {status}", status=status)
         try:
-            payload = response.json()
-            bindings = payload["results"]["bindings"]
+            bindings = json.loads(body)["results"]["bindings"]
             rows = [
                 {var: cell["value"] for var, cell in binding.items()}
                 for binding in bindings

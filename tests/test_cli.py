@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -406,3 +408,13 @@ class TestUsage:
     def test_help_exits_zero(self, capsys):
         assert cli.main(["--help"]) == 0
         assert "metadiv" in capsys.readouterr().out
+
+    def test_cold_start_imports_no_http_client(self):
+        # The HTTP stack costs tens of milliseconds to import, and only an
+        # HttpTransport needs it, so it must not load with the CLI.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = (f"import sys; sys.path.insert(0, {src!r}); import metadiv.cli; "
+                "print(sorted({'urllib.request', 'http.client'} & sys.modules.keys()))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, timeout=60).stdout
+        assert out == "[]\n"

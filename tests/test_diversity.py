@@ -48,6 +48,12 @@ class TestConstruction:
         with pytest.raises(ValueError):
             FrequencyDistribution.from_counts([("a", -1)])
 
+    def test_fractional_count_rejected(self):
+        with pytest.raises(ValueError, match="'a'"):
+            FrequencyDistribution.from_counts([("a", 2.7)])
+        d = FrequencyDistribution.from_counts([("a", 2.0), ("b", np.int64(3))])
+        assert d.counts == {"a": 2, "b": 3} and d.total == 5
+
     def test_constructor_derives_total(self):
         d = FrequencyDistribution({"a": 2, "b": 1})
         assert d == FrequencyDistribution.from_counts([("a", 2), ("b", 1)])

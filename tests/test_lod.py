@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import gzip
 import json
 import logging
 import threading
+import time
 from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
@@ -386,6 +388,9 @@ class TestShippedData:
         pytest.param('[{"name": "X",', "not valid JSON: ", id="truncated"),
         *(pytest.param([{"name": "X", "url": "http://x/sparql", "timeout": t}],
                        "entry 0 .*timeout", id=f"timeout-{t}") for t in (0, -1, "nan")),
+        *(pytest.param([{"name": "X", "url": u}], "entry 0 .*url", id=f"url-{u}")
+          for u in ("data.example.org/sparql", "file:///srv/sparql.json", "http:///sparql",
+                    "http://x/spärql")),
     ])
     def test_malformed_roster_names_file_and_entry(self, tmp_path, entries, problem):
         path = tmp_path / "roster.json"
@@ -409,11 +414,20 @@ class TestShippedData:
 class _SparqlHandler(BaseHTTPRequestHandler):
     graph = GraphTransport(PEOPLE_GRAPH)
     fail_next: list[int] = []
+    # How an answer departs from plain JSON: "stall" sends nothing for a
+    # second, "short" half its Content-Length, "not-json" an HTML page and
+    # "gzip" a compressed body.
+    mode = ""
+    seen: list = []  # (command, path, headers) of every request
 
     def _respond(self, query: str) -> None:
+        self.seen.append((self.command, self.path, self.headers))
         if self.fail_next:
             self.send_response(self.fail_next.pop(0))
             self.end_headers()
+            return
+        if self.mode == "stall":
+            time.sleep(1.0)
             return
         query = "\n".join(
             line for line in query.splitlines() if not line.startswith("#")
@@ -426,6 +440,14 @@ class _SparqlHandler(BaseHTTPRequestHandler):
         body = json.dumps({"results": {"bindings": bindings}}).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/sparql-results+json")
+        if self.mode == "not-json":
+            body = b"<html><body>Service busy</body></html>"
+        elif self.mode == "gzip":
+            body = gzip.compress(body)
+            self.send_header("Content-Encoding", "gzip")
+        elif self.mode == "short":
+            self.send_header("Content-Length", str(len(body)))
+            body = body[: len(body) // 2]
         self.end_headers()
         self.wfile.write(body)
 
@@ -450,6 +472,8 @@ def loopback_endpoint():
     )
     thread.start()
     _SparqlHandler.fail_next = []
+    _SparqlHandler.mode = ""
+    _SparqlHandler.seen = []
     yield f"http://127.0.0.1:{server.server_address[1]}/sparql"
     server.shutdown()
     thread.join()
@@ -491,3 +515,54 @@ class TestHttpTransport:
         client = SparqlClient(cfg, HttpTransport(), sleep=lambda _: None)
         with pytest.raises(TransportError):
             client.select(CLASS_COUNT_QUERY)
+
+    def test_get_carries_accept_header_and_exact_query(self, loopback_endpoint):
+        url = loopback_endpoint + "?default-graph-uri=g"
+        HttpTransport().select(url, CLASS_COUNT_QUERY, timeout=5.0)
+        [(command, path, headers)] = _SparqlHandler.seen
+        assert command == "GET"
+        assert parse_qs(urlparse(path).query) == {
+            "default-graph-uri": ["g"], "query": [CLASS_COUNT_QUERY]}
+        assert headers["Accept"] == "application/sparql-results+json"
+
+    def test_read_timeout_is_query_timeout(self, loopback_endpoint):
+        _SparqlHandler.mode = "stall"
+        with pytest.raises(QueryTimeout):
+            HttpTransport().select(loopback_endpoint, CLASS_COUNT_QUERY, timeout=0.2)
+
+    def test_body_shorter_than_content_length_is_transport_error(self, loopback_endpoint):
+        _SparqlHandler.mode = "short"
+        with pytest.raises(TransportError) as err:
+            HttpTransport().select(loopback_endpoint, CLASS_COUNT_QUERY, timeout=5.0)
+        assert not isinstance(err.value, QueryTimeout)
+
+    def test_non_json_body_is_protocol_error(self, loopback_endpoint):
+        _SparqlHandler.mode = "not-json"
+        with pytest.raises(ProtocolError):
+            HttpTransport().select(loopback_endpoint, CLASS_COUNT_QUERY, timeout=5.0)
+
+    def test_no_content_is_endpoint_error(self, loopback_endpoint):
+        _SparqlHandler.fail_next = [204]
+        with pytest.raises(EndpointError) as err:
+            HttpTransport().select(loopback_endpoint, CLASS_COUNT_QUERY, timeout=5.0)
+        assert err.value.status == 204
+
+    def test_gzip_answer_is_decoded(self, loopback_endpoint):
+        _SparqlHandler.mode = "gzip"
+        result = HttpTransport().select(loopback_endpoint, CLASS_COUNT_QUERY, timeout=5.0)
+        assert len(result.rows) == 2
+        [(_, _, headers)] = _SparqlHandler.seen
+        assert "gzip" in headers["Accept-Encoding"]
+
+    def test_proxy_variable_read_when_transport_is_made(self, loopback_endpoint, monkeypatch):
+        # A first request before the variable is set: an opener shared by
+        # every transport would already have read the proxy settings.
+        HttpTransport().select(loopback_endpoint, CLASS_COUNT_QUERY, timeout=5.0)
+        for name in ("no_proxy", "NO_PROXY", "HTTP_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("http_proxy", loopback_endpoint.removesuffix("/sparql"))
+        # nothing listens on port 9: only the proxy can answer
+        target = "http://127.0.0.1:9/sparql"
+        result = HttpTransport().select(target, CLASS_COUNT_QUERY, timeout=5.0)
+        assert len(result.rows) == 2
+        assert _SparqlHandler.seen[-1][1].startswith(target + "?")
