@@ -181,10 +181,10 @@ def _run_marc(args, transport) -> int:
     quality = {
         "records": stream.records,
         "skipped": stream.skipped,
-        "missing_year": series.missing_year,
+        "missing_year": stream.missing_year,
         "mu": round(series.mu, 4),
-        "structured_headings": series.structured_headings,
-        "split_headings": series.split_headings,
+        "structured_headings": stream.structured_headings,
+        "split_headings": stream.split_headings,
     }
     sys.stderr.write(json.dumps(quality) + "\n")
     return EXIT_OK

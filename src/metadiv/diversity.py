@@ -35,18 +35,20 @@ ORDER_ONE_EPS = 1e-9
 class FrequencyDistribution:
     """Immutable label -> count multiset with a derived total.
 
-    Zero-count classes are never stored, so every stored count is >= 1 (a
-    count below 1 raises ``ValueError``) and ``total`` is the sum of the
-    stored counts.
+    Zero-count classes are never stored, so every stored count is a whole
+    number >= 1 (any other count raises ``ValueError``) and ``total`` is the
+    sum of the stored counts.
     """
 
     counts: Mapping[str, int] = field(default_factory=dict)
     total: int = field(init=False)
 
     def __post_init__(self) -> None:
-        low = min(self.counts.values(), default=1)
-        if low < 1:
-            raise ValueError(f"every count must be >= 1, got {low}")
+        v = np.fromiter(self.counts.values(), dtype=float, count=len(self.counts))
+        bad = np.flatnonzero((v < 1) | (v % 1 != 0))
+        if bad.size:
+            label, count = list(self.counts.items())[bad[0]]
+            raise ValueError(f"every count must be >= 1 and whole, got {count} for {label!r}")
         object.__setattr__(self, "total", sum(self.counts.values()))
 
     @classmethod
@@ -73,9 +75,6 @@ class FrequencyDistribution:
 
     def __len__(self) -> int:
         return len(self.counts)
-
-    def __bool__(self) -> bool:
-        return self.total > 0
 
     def probabilities(self) -> np.ndarray:
         """Relative abundances p_n = count_n / total."""

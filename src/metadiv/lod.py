@@ -469,8 +469,13 @@ def load_roster(path=None) -> list[EndpointConfig]:
     for index, entry in enumerate(entries):
         try:
             options = {k: cast(entry[k]) for k, cast in _ROSTER_OPTIONS.items() if k in entry}
+            for k, value in options.items():
+                raw = entry[k]  # a string must parse, a number convert exactly
+                exact = isinstance(raw, (str, type(value))) or raw == value
+                if isinstance(raw, bool) or not exact:
+                    raise ValueError(f"{k} {raw!r} is not exactly a {type(value).__name__}")
             roster.append(EndpointConfig(name=entry["name"], url=entry["url"], **options))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{source}: entry {index} is invalid: {exc!r}") from exc
     return roster
 

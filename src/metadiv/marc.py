@@ -220,8 +220,9 @@ class RecordStream(Iterator[MarcView]):
     """Iterator over the records of one or more MARCXML files.
 
     Structurally invalid records are skipped with a counted warning instead
-    of aborting the stream; ``records`` and ``skipped`` are valid once the
-    stream is exhausted.
+    of aborting the stream.  Once it is exhausted, it holds the per-record
+    tallies: ``records``, ``skipped``, ``missing_year``, and the headings
+    split by subfield (``structured_headings``) or on ``--`` (``split_headings``).
     """
 
     def __init__(self, sources: Iterable, extended_subjects: bool = False) -> None:
@@ -231,6 +232,9 @@ class RecordStream(Iterator[MarcView]):
         )
         self.records = 0
         self.skipped = 0
+        self.missing_year = 0
+        self.structured_headings = 0
+        self.split_headings = 0
         self._names = _LocalNames()
         self._iter = self._walk()
 
@@ -272,6 +276,9 @@ class RecordStream(Iterator[MarcView]):
             view = None
         else:
             self.records += 1
+            self.missing_year += view.entry_year is None
+            self.structured_headings += sum(h.structured for h in view.headings)
+            self.split_headings += sum(not h.structured for h in view.headings)
         # Frees the fields of a record that stays attached: one inside
         # another record, or the last one of a container.
         record.clear()
@@ -302,13 +309,10 @@ def _facet_values(view: MarcView, facet: str) -> list[str]:
 
 @dataclass(frozen=True)
 class FacetSeries:
-    """Per-year cumulative richness and diversity of one catalog facet."""
+    """Per-year cumulative richness and diversity of one catalog facet, and its event total."""
 
     rows: tuple[tuple[int, int, float], ...]  # (year, cum_richness, cum_diversity)
     total_events: int
-    missing_year: int = 0
-    structured_headings: int = 0
-    split_headings: int = 0
 
     @property
     def mu(self) -> float:
@@ -328,9 +332,9 @@ def facet_series(
     """Cumulative richness/diversity of a facet, bucketed by entry year.
 
     Each record contributes one event per facet value; records without a
-    decodable entry year are excluded and counted.  Raises ``ValueError``
-    for an unknown facet, before reading any record, and when no record
-    carries a year.
+    decodable entry year are excluded (a ``RecordStream`` counts them).
+    Raises ``ValueError`` for an unknown facet, before reading any record,
+    and when no record carries a year.
     """
     if facet not in FACETS:
         raise ValueError(f"unknown facet {facet!r}; expected one of {FACETS}")
@@ -339,15 +343,8 @@ def facet_series(
     # year ends, so expanding each bucket in turn gives every checkpoint the
     # same counts and label ids as the whole event list in year order.
     buckets: defaultdict[int, Counter[str]] = defaultdict(Counter)
-    missing = structured = split = 0
     for view in records:
-        for h in view.headings:
-            if h.structured:
-                structured += 1
-            else:
-                split += 1
         if view.entry_year is None:
-            missing += 1
             continue
         values = _facet_values(view, facet)
         if values:
@@ -363,10 +360,4 @@ def facet_series(
         (year, int(rich), div)
         for year, (_, rich), (_, div) in zip(years, rich_curve.points, div_curve.points)
     )
-    return FacetSeries(
-        rows=rows,
-        total_events=ends[-1],
-        missing_year=missing,
-        structured_headings=structured,
-        split_headings=split,
-    )
+    return FacetSeries(rows=rows, total_events=ends[-1])

@@ -9,7 +9,7 @@ the diversity growth, so texts of different lengths can be compared.
 from __future__ import annotations
 
 import re
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,7 +90,7 @@ def tokenize(text: str) -> tuple[str, ...]:
 
 
 def lexical_report(
-    tokens: Sequence[str],
+    tokens: Iterable[str],
     source_id: str,
     order: float = 1.0,
     schedule: CheckpointSchedule | None = None,
@@ -98,15 +98,17 @@ def lexical_report(
 ) -> LexicalReport:
     """Build the full lexical-diversity report for one document.
 
-    Fits the power law to the vocabulary-growth curve and the M4 model to
-    the diversity-growth curve, and includes the holdout model comparison
-    at ``train_limit``; the ranking is ``None`` when ``compare_models`` has
-    too few points on either side of the limit.
+    ``tokens`` may be any iterable: the growth pass reads it once, and its
+    last checkpoint gives the token count.  Fits the power law to the
+    vocabulary-growth curve and the M4 model to the diversity-growth curve,
+    and includes the holdout model comparison at ``train_limit``; the
+    ranking is ``None`` when ``compare_models`` has too few points on
+    either side of the limit.
     """
     order = _check_order(order)
-    if len(tokens) == 0:
-        raise ValueError("document contains no tokens")
     vocab, div = growth_curves(tokens, schedule or CheckpointSchedule.every(100), order)
+    if not vocab.points:
+        raise ValueError("document contains no tokens")
 
     power = fit_power_law(vocab)
     m4 = fit_model(div, ModelKind.M4)
@@ -117,7 +119,7 @@ def lexical_report(
 
     return LexicalReport(
         source_id=source_id,
-        n_tokens=len(tokens),
+        n_tokens=vocab.points[-1][0],
         n_types=int(vocab.points[-1][1]),
         order=order,
         observed_diversity=div.points[-1][1],

@@ -279,6 +279,16 @@ class TestMarc:
         quality = json.loads(err)
         assert (quality["structured_headings"], quality["split_headings"]) == (2, 1)
 
+    @pytest.mark.parametrize("facet, mu", [
+        ("authors", "1.5"), ("subjects", "1.5"), ("subdivisions", "1.6667")])
+    def test_quality_line_bytes(self, marc_file, capsys, facet, mu):
+        # Key order and spacing are part of the line; only mu depends on the facet.
+        _, _, err = run_twice(["marc", marc_file, "--facet", facet], capsys)
+        assert err == (
+            '{"records": 3, "skipped": 0, "missing_year": 0, '
+            f'"mu": {mu}, "structured_headings": 2, "split_headings": 1}}\n'
+        )
+
     def test_extended_subjects_adds_651(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         spain = ('<datafield tag="651" ind1=" " ind2="0"><subfield code="a">Spain</subfield>'

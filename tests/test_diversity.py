@@ -61,10 +61,13 @@ class TestConstruction:
         assert hill_diversity(d, 1.0) == pytest.approx(3 / 2 ** (2 / 3))
         assert shannon_entropy(d) == pytest.approx(math.log(3) - 2 / 3 * math.log(2))
 
-    @pytest.mark.parametrize("count", [0, -1])
-    def test_constructor_rejects_count_below_one(self, count):
-        with pytest.raises(ValueError, match="must be >= 1"):
-            FrequencyDistribution({"a": 2, "b": count})
+    @pytest.mark.parametrize("counts", [
+        pytest.param({"a": 2, "b": 0}, id="0"), pytest.param({"a": 2, "b": -1}, id="-1"),
+        pytest.param({"a": 2.5}, id="2.5"), pytest.param({"a": 1.5, "b": 2.5}, id="1.5-2.5"),
+        pytest.param({"a": float("nan")}, id="nan")])
+    def test_constructor_rejects_count_below_one(self, counts):
+        with pytest.raises(ValueError, match="must be >= 1.*'[ab]'"):
+            FrequencyDistribution(counts)
 
     def test_from_events(self):
         d = FrequencyDistribution.from_events("abcabcaa")

@@ -391,6 +391,12 @@ class TestShippedData:
         *(pytest.param([{"name": "X", "url": u}], "entry 0 .*url", id=f"url-{u}")
           for u in ("data.example.org/sparql", "file:///srv/sparql.json", "http:///sparql",
                     "http://x/spärql")),
+        *(pytest.param([{"name": "X", "url": "http://x/sparql", k: v}], f"entry 0 .*{k}",
+                       id=f"{k}-{v}")
+          for k, v in (("page_size", 2.5), ("delay_ms", True), ("timeout", True),
+                       ("delay_ms", 0.5))),
+        pytest.param('[{"name": "X", "url": "http://x/sparql", "page_size": Infinity}]',
+                     "entry 0 .*infinity", id="page_size-inf"),
     ])
     def test_malformed_roster_names_file_and_entry(self, tmp_path, entries, problem):
         path = tmp_path / "roster.json"

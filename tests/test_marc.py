@@ -559,8 +559,9 @@ class TestFacetSeries:
 
     def test_missing_years_excluded_and_counted(self):
         xml = catalog([("r1", 2001, ["A"]), ("r2", None, ["B"]), ("r3", 2002, ["C"])])
-        series = facet_series(parse_records(io.BytesIO(xml)), "authors")
-        assert series.missing_year == 1
+        stream = parse_records(io.BytesIO(xml))
+        series = facet_series(stream, "authors")
+        assert stream.missing_year == 1
         assert series.rows[-1][1] == 2
 
     def test_all_years_missing_is_an_error(self):
@@ -624,9 +625,10 @@ class TestFacetSeries:
             marc_record("r1", "010101", subjects=((("a", "Commerce--History"),),)),
             marc_record("r2", "020101", subjects=((("a", "Art"), ("x", "Study")),)),
         )
-        series = facet_series(parse_records(io.BytesIO(xml)), "subjects")
-        assert series.split_headings == 1
-        assert series.structured_headings == 1
+        stream = parse_records(io.BytesIO(xml))
+        facet_series(stream, "subjects")
+        assert stream.split_headings == 1
+        assert stream.structured_headings == 1
 
     def test_csv_format(self):
         xml = catalog([("r1", 2001, ["A"]), ("r2", 2002, ["B"])])
@@ -662,12 +664,8 @@ class TestFacetSeries:
 def _ref_facet_series(records, facet, order):
     order = float(order)
     events = []
-    missing = structured = split = 0
     for view in records:
-        structured += sum(h.structured for h in view.headings)
-        split += sum(not h.structured for h in view.headings)
         if view.entry_year is None:
-            missing += 1
             continue
         if facet == "authors":
             values = list(view.authors)
@@ -686,7 +684,7 @@ def _ref_facet_series(records, facet, order):
     rich = vocabulary_growth(labels, schedule)
     div = diversity_growth(labels, schedule, order)
     rows = tuple((year, int(r), d) for year, (_, r), (_, d) in zip(years, rich.points, div.points))
-    return FacetSeries(rows, len(events), missing, structured, split)
+    return FacetSeries(rows, len(events))
 
 
 # Few labels, so they repeat within and across years; years out of order or
@@ -718,3 +716,50 @@ class TestFacetSeriesOracle:
                 facet_series(iter(views), facet, order)
         else:
             assert facet_series(iter(views), facet, order) == expected
+
+
+# One 650 or 651 field: subdivided in subfields, a lone term, a "--"-joined
+# descriptor, or delimiters only (no heading).
+_subject_subfields = st.sampled_from([
+    (("a", "Commerce"), ("x", "History")),
+    (("a", "Art"),),
+    (("a", "Commerce--History"),),
+    (("a", "--"),),
+])
+# (has 001, 008 or None, 650 fields, 651 fields read only with extended subjects)
+_tally_records = st.tuples(
+    st.booleans(),
+    st.sampled_from([None, "010101", "991231", "1999"]),
+    st.lists(_subject_subfields, max_size=3),
+    st.lists(_subject_subfields, max_size=2),
+)
+
+
+def _tally_catalog(specs) -> bytes:
+    records = []
+    for i, (has_id, field_008, subjects, geographic) in enumerate(specs):
+        record = marc_record(f"r{i}" if has_id else None, field_008, subjects=tuple(subjects))
+        extra = "".join(
+            '<datafield tag="651" ind1=" " ind2="0">'
+            + "".join(f'<subfield code="{code}">{text}</subfield>' for code, text in subfields)
+            + "</datafield>"
+            for subfields in geographic
+        )
+        records.append(record.replace("</record>", extra + "</record>"))
+    return marc_collection(*records)
+
+
+class TestStreamTallies:
+    @settings(max_examples=200)
+    @given(st.lists(_tally_records, max_size=12), st.booleans())
+    def test_tallies_match_yielded_views(self, specs, extended_subjects):
+        stream = parse_records(io.BytesIO(_tally_catalog(specs)),
+                               extended_subjects=extended_subjects)
+        views = list(stream)
+        headings = [h for view in views for h in view.headings]
+        without_id = sum(not has_id for has_id, *_ in specs)
+        assert (stream.records, stream.skipped) == (len(views), without_id)
+        assert stream.records == len(specs) - without_id
+        assert stream.missing_year == sum(view.entry_year is None for view in views)
+        assert stream.structured_headings == sum(h.structured for h in headings)
+        assert stream.split_headings == sum(not h.structured for h in headings)

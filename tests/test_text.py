@@ -90,8 +90,19 @@ class TestLexicalReport:
         assert report.ranking is None  # nothing beyond the training limit
 
     def test_empty_document_rejected(self):
-        with pytest.raises(ValueError):
-            lexical_report((), "empty")
+        for tokens in ((), iter(())):
+            with pytest.raises(ValueError, match="^document contains no tokens$"):
+                lexical_report(tokens, "empty")
+
+    def test_any_iterable_of_tokens(self):
+        tokens = zipf_corpus(2_000, 80, seed=5)
+        schedule = CheckpointSchedule.every(10)
+        whole = lexical_report(tokens, "z", schedule=schedule, train_limit=500)
+        streamed = lexical_report(iter(tokens), "z", schedule=schedule, train_limit=500)
+        assert streamed.to_dict() == whole.to_dict()
+        assert streamed.n_tokens == whole.n_tokens == 2_000
+        assert (streamed.vocabulary_curve, streamed.diversity_curve) == (
+            whole.vocabulary_curve, whole.diversity_curve)
 
     def test_zipf_corpus_extrapolation_close_to_true_value(self, zipf_tokens):
         report = lexical_report(zipf_tokens, "zipf", order=1.0)
