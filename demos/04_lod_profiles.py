@@ -6,11 +6,15 @@ richness R and the evenness ratio D/R.  This demo runs against an
 in-memory fixture endpoint, handed to `profile()` as the transport of its
 `SparqlClient`, so it works offline.  A client built from a shipped roster
 entry with no transport, `profile(SparqlClient(cfg))`, performs the same
-harvest over HTTP.  Run with:  python demos/04_lod_profiles.py
+harvest over HTTP.  The summary table is what `metadiv lod --format csv`
+prints for the same fixture.  Run with:  python demos/04_lod_profiles.py
 """
 
+import json
+import os
 from collections import Counter
 
+from metadiv import cli
 from metadiv.lod import (
     CLASS_COUNT_QUERY,
     PROPERTY_COUNT_QUERY,
@@ -21,7 +25,6 @@ from metadiv.lod import (
     load_published_profiles,
     load_roster,
     profile,
-    profiles_to_csv,
 )
 
 # The queries sent over the wire are small grouped counts:
@@ -73,7 +76,12 @@ for side in ("class", "property"):
 print("  sameAs link targets:", dict(prof.sameas_hosts.counts))
 
 print("\nsummary row (plot-ready CSV):")
-print(profiles_to_csv([prof]))
+os.makedirs("demo_output", exist_ok=True)
+with open("demo_output/fixture_roster.json", "w", encoding="utf-8") as f:
+    json.dump([{"name": cfg.name, "url": cfg.url}], f)
+cli.main(["lod", "--roster", "demo_output/fixture_roster.json", "--format", "csv"],
+         FixtureEndpoint(TRIPLES))
+print()
 
 # The package ships a roster of public library endpoints and a snapshot of
 # previously published profile summaries for reference.

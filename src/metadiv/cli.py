@@ -4,7 +4,9 @@ Subcommands: ``lexdiv`` (per-document lexical diversity), ``fit`` (model
 fitting on a saved curve), ``marc`` (catalog facet series) and ``lod``
 (endpoint diversity profiles).  Output is byte-deterministic for fixed
 inputs: fixed column order, four decimals for diversity values, two for
-diversity/richness ratios.  Exit codes: 0 success, 1 input error,
+diversity/richness ratios.  This module writes every stdout byte: the
+library's result objects carry numbers, and the printers below choose the
+fields and their precision.  Exit codes: 0 success, 1 input error,
 2 transport error, 64 usage error.
 """
 
@@ -17,11 +19,10 @@ import sys
 
 from .accumulation import AccumulationCurve, CheckpointSchedule
 from .diversity import _check_order
-from .fitting import ModelKind, compare_models, fit_model, fit_power_law
-from .lod import (HarvestError, SparqlClient, SparqlTransport, load_roster, profile,
-                  profiles_to_csv)
+from .fitting import FitResult, ModelKind, compare_models, fit_model, fit_power_law
+from .lod import HarvestError, LodProfile, SparqlClient, SparqlTransport, load_roster, profile
 from .marc import FACETS, facet_series, parse_records
-from .text import DEFAULT_TRAIN_LIMIT, lexical_report, pearson_r, tokenize
+from .text import DEFAULT_TRAIN_LIMIT, LexicalReport, lexical_report, pearson_r, tokenize
 
 __all__ = ["main", "console_main"]
 
@@ -98,6 +99,50 @@ def _write_output(text: str, output: str | None) -> None:
             f.write(text)
 
 
+def _fit_fields(fit: FitResult) -> dict:
+    return {
+        "kind": fit.kind.value,
+        "params": dict(fit.params),
+        "residual": fit.residual,
+        "n_points": fit.n_points,
+        "converged": fit.converged,
+    }
+
+
+def _report_fields(report: LexicalReport) -> dict:
+    return {
+        "source": report.source_id,
+        "tokens": report.n_tokens,
+        "types": report.n_types,
+        "order": report.order,
+        "observed_D": round(report.observed_diversity, 4),
+        "extrapolated_D": round(report.extrapolated_diversity, 4),
+        "power_law": {k: round(v, 6) for k, v in report.power_law.params.items()},
+        "m4": {k: round(v, 6) for k, v in report.saturating.params.items()},
+        "ranking": None
+        if report.ranking is None
+        else [
+            {"model": rm.kind.value, "holdout_rmse": round(rm.holdout_rmse, 6)}
+            for rm in report.ranking
+        ],
+    }
+
+
+def _profile_fields(prof: LodProfile) -> dict:
+    return {
+        "endpoint": prof.endpoint,
+        "retrieved_at": prof.retrieved_at,
+        "complete": prof.complete,
+        "classes": dict(prof.classes.counts),
+        "properties": dict(prof.properties.counts),
+        "sameas_hosts": dict(prof.sameas_hosts.counts),
+        "derived": {
+            side: {"D": round(idx.diversity, 4), "R": idx.richness, "DR": round(idx.ratio, 2)}
+            for side, idx in prof.derived().items()
+        },
+    }
+
+
 def _curve_stem(path: str) -> str:
     return os.path.basename(path).rsplit(".", 1)[0]
 
@@ -105,6 +150,12 @@ def _curve_stem(path: str) -> str:
 def _run_lexdiv(args, transport) -> int:
     schedule = CheckpointSchedule.every(args.every)
     order = _check_order(args.order)  # checked here so its error names no document
+    if args.curves:  # before any document is read
+        stems: dict[str, str] = {}  # file stem -> the first document with it
+        for path in args.files:
+            first = stems.setdefault(_curve_stem(path), path)
+            if first != path:
+                raise ValueError(f"--curves: {first} and {path} would write the same curve files")
     reports = []
     for path in args.files:
         try:
@@ -115,11 +166,6 @@ def _run_lexdiv(args, transport) -> int:
             raise ValueError(f"{path}: {exc}") from exc
 
     if args.curves:
-        stems: dict[str, str] = {}  # file stem -> the first document with it
-        for path in args.files:
-            first = stems.setdefault(_curve_stem(path), path)
-            if first != path:
-                raise ValueError(f"--curves: {first} and {path} would write the same curve files")
         os.makedirs(args.curves, exist_ok=True)
         for report in reports:
             stem = os.path.join(args.curves, _curve_stem(report.source_id))
@@ -134,7 +180,7 @@ def _run_lexdiv(args, transport) -> int:
 
     if args.format == "json":
         payload = {
-            "documents": [r.to_dict() for r in reports],
+            "documents": [_report_fields(r) for r in reports],
             "pearson_R": None if pearson is None else round(pearson, 4),
         }
         _write_output(json.dumps(payload, indent=2) + "\n", args.output)
@@ -159,14 +205,14 @@ def _run_fit(args, transport) -> int:
         fit = fit_power_law(curve)
     else:
         fit = fit_model(curve, kind)
-    payload = fit.to_dict()
+    payload = _fit_fields(fit)
     if args.train is not None:
         ranking = compare_models(curve, args.train)
         payload["comparison"] = [
             {
                 "model": rm.kind.value,
                 "holdout_rmse": rm.holdout_rmse,
-                "fit": rm.fit.to_dict(),
+                "fit": _fit_fields(rm.fit),
             }
             for rm in ranking
         ]
@@ -177,7 +223,9 @@ def _run_fit(args, transport) -> int:
 def _run_marc(args, transport) -> int:
     stream = parse_records(args.files, extended_subjects=args.extended_subjects)
     series = facet_series(stream, args.facet, args.order)
-    _write_output(series.to_csv(), args.output)
+    lines = ["year,cum_richness,cum_diversity"]
+    lines += (f"{year},{rich},{_fmt4(div)}" for year, rich, div in series.rows)
+    _write_output("\n".join(lines) + "\n", args.output)
     quality = {
         "records": stream.records,
         "skipped": stream.skipped,
@@ -198,9 +246,16 @@ def _run_lod(args, transport) -> int:
             raise ValueError(f"endpoint {args.endpoint!r} is not in the roster")
     profiles = [profile(SparqlClient(cfg, transport)) for cfg in roster]
     if args.format == "csv":
-        _write_output(profiles_to_csv(profiles), args.output)
+        # the summary table: D, R and D/R of both sides, one row per endpoint
+        lines = ["host,class_D,class_R,class_DR,prop_D,prop_R,prop_DR"]
+        for prof in profiles:
+            derived = prof.derived()
+            cls, prop = derived["class"], derived["property"]
+            lines.append(f"{prof.endpoint},{_fmt4(cls.diversity)},{cls.richness},{cls.ratio:.2f},"
+                         f"{_fmt4(prop.diversity)},{prop.richness},{prop.ratio:.2f}")
+        _write_output("\n".join(lines) + "\n", args.output)
     else:
-        payload = [p.to_dict() for p in profiles]
+        payload = [_profile_fields(p) for p in profiles]
         _write_output(json.dumps(payload, indent=2) + "\n", args.output)
     return EXIT_OK
 

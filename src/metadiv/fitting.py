@@ -63,8 +63,8 @@ class FitResult:
     guarantee: observed curves may still be growing.  ``iterations`` (the
     number of Jacobian evaluations) and ``stop_reason`` (``param-tol``,
     ``cost-tol``, ``damping-exhausted`` or ``max-iter``) describe the
-    iterative solver; the closed-form power law has 0 and None.  Neither is
-    part of ``to_dict``.
+    iterative solver; the closed-form power law has 0 and None.  The CLI
+    prints neither.
     """
 
     kind: ModelKind
@@ -80,15 +80,6 @@ class FitResult:
 
     def predict(self, n):
         return eval_model(self.kind, self.param_vector(), n)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "params": dict(self.params),
-            "residual": self.residual,
-            "n_points": self.n_points,
-            "converged": self.converged,
-        }
 
 
 class RankedModel(NamedTuple):

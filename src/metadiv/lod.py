@@ -19,10 +19,11 @@ import json
 import logging
 import os
 import time
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from importlib import resources
+from threading import TIMEOUT_MAX
 from typing import NamedTuple, Protocol
 from urllib.parse import urlencode, urlsplit
 
@@ -50,8 +51,6 @@ __all__ = [
     "profile",
     "load_roster",
     "load_published_profiles",
-    "profiles_to_csv",
-    "PROFILE_CSV_HEADER",
 ]
 
 logger = logging.getLogger(__name__)
@@ -88,8 +87,6 @@ SAMEAS_HOST_QUERY = (
     "}\n"
     "GROUP BY ?hostname"
 )
-
-PROFILE_CSV_HEADER = "host,class_D,class_R,class_DR,prop_D,prop_R,prop_DR"
 
 MAX_ATTEMPTS = 3
 BACKOFF_BASE_SECONDS = 0.5
@@ -147,10 +144,13 @@ class EndpointConfig:
             raise ValueError(f"url must be an ASCII http(s) URL with a host, got {self.url!r}")
         if self.page_size < 1:
             raise ValueError("page size must be >= 1")
-        if not 0.0 < self.timeout < float("inf"):  # also rejects nan
-            raise ValueError(f"timeout must be finite and > 0, got {self.timeout}")
-        if self.delay_ms < 0:
-            raise ValueError("politeness delay must be >= 0")
+        # A longer socket timeout or sleep overflows the platform's time_t.
+        if not 0.0 < self.timeout <= TIMEOUT_MAX:  # also rejects nan
+            raise ValueError(f"timeout must be > 0 and at most {TIMEOUT_MAX:.0f} s, "
+                             f"got {self.timeout}")
+        if not 0 <= self.delay_ms <= TIMEOUT_MAX * 1000:
+            raise ValueError(f"delay_ms must be >= 0 and at most {TIMEOUT_MAX * 1000:.0f}, "
+                             f"got {self.delay_ms}")
 
 
 @dataclass
@@ -385,25 +385,6 @@ class LodProfile:
     def derived(self) -> dict[str, DerivedIndices]:
         return {"class": _derive(self.classes), "property": _derive(self.properties)}
 
-    def to_dict(self) -> dict:
-        derived = self.derived()
-        return {
-            "endpoint": self.endpoint,
-            "retrieved_at": self.retrieved_at,
-            "complete": self.complete,
-            "classes": dict(self.classes.counts),
-            "properties": dict(self.properties.counts),
-            "sameas_hosts": dict(self.sameas_hosts.counts),
-            "derived": {
-                side: {
-                    "D": round(idx.diversity, 4),
-                    "R": idx.richness,
-                    "DR": round(idx.ratio, 2),
-                }
-                for side, idx in derived.items()
-            },
-        }
-
 
 def profile(client: SparqlClient) -> LodProfile:
     """Harvest one endpoint through ``client`` and derive its diversity summary.
@@ -428,19 +409,6 @@ def profile(client: SparqlClient) -> LodProfile:
         retrieved_at=_now_iso(),
         complete=complete,
     )
-
-
-def profiles_to_csv(profiles: Sequence[LodProfile]) -> str:
-    """Summary table, one row per endpoint: D, R and D/R for both sides."""
-    lines = [PROFILE_CSV_HEADER]
-    for prof in profiles:
-        derived = prof.derived()
-        cls, prop = derived["class"], derived["property"]
-        lines.append(
-            f"{prof.endpoint},{cls.diversity:.4f},{cls.richness},{cls.ratio:.2f},"
-            f"{prop.diversity:.4f},{prop.richness},{prop.ratio:.2f}"
-        )
-    return "\n".join(lines) + "\n"
 
 
 _ROSTER_OPTIONS = {"page_size": int, "timeout": float, "delay_ms": int}

@@ -319,12 +319,6 @@ class FacetSeries:
         """Mean number of items per facet value: total events / final richness."""
         return self.total_events / self.rows[-1][1]
 
-    def to_csv(self) -> str:
-        lines = ["year,cum_richness,cum_diversity"]
-        for year, rich, div in self.rows:
-            lines.append(f"{year},{rich},{div:.4f}")
-        return "\n".join(lines) + "\n"
-
 
 def facet_series(
     records: Iterable[MarcView], facet: str, order: float = 1.0

@@ -32,7 +32,11 @@ DEFAULT_TRAIN_LIMIT = 10_000
 
 @dataclass(frozen=True)
 class LexicalReport:
-    """Per-document summary: size, observed diversity, fits, model ranking."""
+    """Per-document summary: size, observed diversity, fits, model ranking.
+
+    Values are kept unrounded; ``metadiv.cli`` chooses the printed fields
+    and their precision.
+    """
 
     source_id: str
     n_tokens: int
@@ -48,24 +52,6 @@ class LexicalReport:
     @property
     def extrapolated_diversity(self) -> float:
         return self.saturating.params["D"]
-
-    def to_dict(self) -> dict:
-        return {
-            "source": self.source_id,
-            "tokens": self.n_tokens,
-            "types": self.n_types,
-            "order": self.order,
-            "observed_D": round(self.observed_diversity, 4),
-            "extrapolated_D": round(self.extrapolated_diversity, 4),
-            "power_law": {k: round(v, 6) for k, v in self.power_law.params.items()},
-            "m4": {k: round(v, 6) for k, v in self.saturating.params.items()},
-            "ranking": None
-            if self.ranking is None
-            else [
-                {"model": rm.kind.value, "holdout_rmse": round(rm.holdout_rmse, 6)}
-                for rm in self.ranking
-            ],
-        }
 
 
 def tokenize(text: str) -> tuple[str, ...]:

@@ -12,7 +12,10 @@ import numpy as np
 import pytest
 
 from metadiv import cli, lod
-from metadiv.models import ModelKind, eval_model
+from metadiv.accumulation import AccumulationCurve
+from metadiv.diversity import FrequencyDistribution, hill_diversity, richness
+from metadiv.fitting import compare_models, fit_model, fit_power_law
+from metadiv.models import FORMS, ModelKind, eval_model
 
 from .conftest import (PEOPLE_GRAPH, FlakyTransport, GraphTransport, NegatedCounts, marc_collection,
                        marc_record)
@@ -125,6 +128,13 @@ class TestLexdiv:
                        "would write the same curve files\n")
         assert not Path("out").exists()
 
+    def test_curve_stem_collision_found_before_reading(self, tmp_path, monkeypatch, capsys):
+        # Neither document exists: the collision is reported without opening one.
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["lexdiv", "a/x.txt", "b/x.txt", "--curves", "out"]) == cli.EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "input error: --curves: a/x.txt and b/x.txt would write the same curve files\n")
+
     def test_empty_document_exits_one(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "empty.txt").write_text("")
@@ -153,6 +163,19 @@ class TestLexdiv:
     def test_bad_order_names_no_document(self, corpus_dir, capsys):
         assert cli.main(["lexdiv", "alpha.txt", "--order", "-1"]) == cli.EXIT_INPUT
         assert capsys.readouterr().err.startswith("input error: diversity order")
+
+    def test_report_dict_shape(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("tiny").write_text(" ".join("abcab" * 30))
+        code, out, _ = run_twice(["lexdiv", "tiny", "--every", "10", "--format", "json"],
+                                 capsys)
+        assert code == cli.EXIT_OK
+        [payload] = json.loads(out)["documents"]
+        assert payload["source"] == "tiny"
+        assert payload["tokens"] == 150
+        assert payload["types"] == 3
+        assert set(payload["power_law"]) == {"C", "alpha"}
+        assert set(payload["m4"]) == {"D", "c", "alpha"}
 
     def test_output_file(self, corpus_dir, capsys):
         code = cli.main(["lexdiv", "alpha.txt", "--every", "20", "--output", "report.csv"])
@@ -194,6 +217,39 @@ class TestFit:
         ranked = [entry["model"] for entry in payload["comparison"]]
         assert set(ranked) == {"m1", "m2", "m3", "m4"}
         assert payload["comparison"][0]["holdout_rmse"] <= payload["comparison"][-1]["holdout_rmse"]
+
+    @pytest.mark.parametrize("argv", [["--model", "m2"], ["--model", "m2", "--train", "10000"],
+                                      ["--model", "power"]], ids=["m2", "m2-train", "power"])
+    def test_stdout_bytes(self, m2_curve_file, capsys, argv):
+        # Built in-process rather than from a golden file: the last digits
+        # of a fit depend on the host's numeric kernels.
+        def fit_fields(fit):
+            return {"kind": fit.kind.value, "params": dict(fit.params), "residual": fit.residual,
+                    "n_points": fit.n_points, "converged": fit.converged}
+
+        curve = AccumulationCurve.from_csv(m2_curve_file)
+        kind = ModelKind(argv[1])
+        expected = fit_fields(fit_power_law(curve) if kind is ModelKind.POWER_LAW
+                              else fit_model(curve, kind))
+        if "--train" in argv:
+            expected["comparison"] = [
+                {"model": rm.kind.value, "holdout_rmse": rm.holdout_rmse,
+                 "fit": fit_fields(rm.fit)}
+                for rm in compare_models(curve, 10_000)
+            ]
+        code, out, err = run_twice(["fit", m2_curve_file, *argv], capsys)
+        assert (code, err) == (cli.EXIT_OK, "")
+        assert out == json.dumps(expected, indent=2) + "\n"
+
+    def test_json_fields(self, m2_curve_file, capsys):
+        code, out, _ = run_twice(["fit", m2_curve_file, "--model", "m2"], capsys)
+        assert code == cli.EXIT_OK
+        payload = json.loads(out)
+        assert payload.keys() == {"kind", "params", "residual", "n_points", "converged"}
+        assert payload["kind"] == "m2"
+        assert payload["params"].keys() == set(FORMS[ModelKind.M2].names)
+        assert payload["converged"] is True
+        assert payload["n_points"] == len(AccumulationCurve.from_csv(m2_curve_file))
 
     def test_year_column_ignored(self, m2_curve_file, capsys):
         with_years = ["n,value,year"] + [
@@ -308,6 +364,17 @@ class TestMarc:
         assert out == "year,cum_richness,cum_diversity\n2001,1,1.0000\n2002,3,3.0000\n"
         assert json.loads(err)["structured_headings"] == 3
 
+    def test_csv_format(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("catalog.xml").write_bytes(marc_collection(
+            marc_record("r1", "010101", authors=("A",)),
+            marc_record("r2", "020101", authors=("B",))))
+        code, out, _ = run_twice(["marc", "catalog.xml", "--facet", "authors"], capsys)
+        assert code == cli.EXIT_OK
+        lines = out.splitlines()
+        assert lines[0] == "year,cum_richness,cum_diversity"
+        assert lines[1] == "2001,1,1.0000"
+
     def test_truncated_collection_exits_one(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "truncated.xml").write_bytes(MARC_FIXTURE[: len(MARC_FIXTURE) // 2])
@@ -360,6 +427,54 @@ class TestLod:
         assert transport.attempts == 4  # three queries, the first one retried
         check_golden("lod_profile.csv", capsys.readouterr().out)
 
+    def test_derived_json_for_known_distribution(self, fixture_roster, capsys):
+        triples = (
+            [(f"s{i}", "rdf:type", "http://example.org/A") for i in range(8)]
+            + [(f"t{i}", "rdf:type", "http://example.org/B") for i in range(4)]
+            + [(f"u{i}", "rdf:type", "http://example.org/C") for i in range(4)]
+        )
+        code, out, _ = run_twice(["lod", "--roster", fixture_roster], capsys,
+                                 transport=GraphTransport(triples))
+        assert code == cli.EXIT_OK
+        [payload] = json.loads(out)
+        assert payload["derived"]["class"] == {"D": 2.8284, "R": 3, "DR": 0.94}
+        assert payload["retrieved_at"] == "2023-11-14T22:13:20+00:00"
+
+    def test_published_style_skewed_fixture(self, fixture_roster, capsys):
+        # five classes with counts 81:8:5:3:3 give D/R = 0.42 at the
+        # summary table's precision
+        counts = {"A": 81, "B": 8, "C": 5, "D": 3, "E": 3}
+        triples = [
+            (f"s{uri}{i}", "rdf:type", f"http://example.org/{uri}")
+            for uri, n in counts.items()
+            for i in range(n)
+        ]
+        code, out, _ = run_twice(["lod", "--roster", fixture_roster], capsys,
+                                 transport=GraphTransport(triples))
+        assert code == cli.EXIT_OK
+        assert json.loads(out)[0]["derived"]["class"]["DR"] == 0.42
+
+    def test_derived_recomputable_from_stored_distributions(self, fixture_roster, capsys):
+        code, out, _ = run_twice(["lod", "--roster", fixture_roster], capsys,
+                                 transport=GraphTransport(PEOPLE_GRAPH))
+        assert code == cli.EXIT_OK
+        [payload] = json.loads(out)
+        for side, stored in (("class", "classes"), ("property", "properties")):
+            dist = FrequencyDistribution.from_counts(payload[stored].items())
+            assert payload["derived"][side]["D"] == round(hill_diversity(dist, 1.0), 4)
+            assert payload["derived"][side]["R"] == richness(dist)
+            assert payload["derived"][side]["DR"] == round(
+                hill_diversity(dist, 1.0) / richness(dist), 2
+            )
+
+    def test_csv_layout(self, fixture_roster, capsys):
+        code, out, _ = run_twice(["lod", "--roster", fixture_roster, "--format", "csv"], capsys,
+                                 transport=GraphTransport(PEOPLE_GRAPH))
+        assert code == cli.EXIT_OK
+        lines = out.splitlines()
+        assert lines[0] == "host,class_D,class_R,class_DR,prop_D,prop_R,prop_DR"
+        assert lines[1].startswith("FIX,")
+
     def test_endpoint_filter_unknown_name(self, fixture_roster, capsys):
         code = cli.main(
             ["lod", "--roster", fixture_roster, "--endpoint", "NOPE"],
@@ -372,6 +487,11 @@ class TestLod:
         [{"url": "http://x.invalid/sparql"}],               # entry without a name
         {"name": "X", "url": "http://x.invalid/sparql"},    # object, not a list
         pytest.param('[{"name": "X",', id="truncated"),      # not valid JSON
+        # longer than the platform can wait: a socket timeout, a sleep
+        pytest.param([{"name": "X", "url": "http://127.0.0.1:9/sparql", "timeout": 1e12}],
+                     id="timeout-1e12"),
+        pytest.param([{"name": "X", "url": "http://x.invalid/sparql", "delay_ms": 1e30}],
+                     id="delay_ms-1e30"),
     ])
     def test_malformed_roster_exits_one(self, tmp_path, capsys, entries):
         roster = tmp_path / "r.json"

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pytest
 
@@ -243,13 +241,3 @@ class TestCompareModels:
         rmses = [rm.holdout_rmse for rm in ranking if rm.fit.converged]
         assert rmses == sorted(rmses)
 
-
-class TestFitResultSerialization:
-    def test_json_fields(self):
-        fit = fit_model(synthetic_curve(ModelKind.M2, (50.0, 1000.0)), ModelKind.M2)
-        payload = json.loads(json.dumps(fit.to_dict()))
-        assert payload.keys() == {"kind", "params", "residual", "n_points", "converged"}
-        assert payload["kind"] == "m2"
-        assert payload["params"].keys() == set(FORMS[ModelKind.M2].names)
-        assert payload["converged"] is True
-        assert payload["n_points"] == len(LOG_GRID)

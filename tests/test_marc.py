@@ -630,13 +630,6 @@ class TestFacetSeries:
         assert stream.split_headings == 1
         assert stream.structured_headings == 1
 
-    def test_csv_format(self):
-        xml = catalog([("r1", 2001, ["A"]), ("r2", 2002, ["B"])])
-        text = facet_series(parse_records(io.BytesIO(xml)), "authors").to_csv()
-        lines = text.splitlines()
-        assert lines[0] == "year,cum_richness,cum_diversity"
-        assert lines[1] == "2001,1,1.0000"
-
     def test_subdivision_richness_sanity_bound(self):
         rng = np.random.default_rng(29)
         topics = ["Art", "Commerce", "History", "Spain", "Theater"]
