@@ -12,10 +12,10 @@ python demos/02_lexical_growth_extrapolation.py
 import os
 
 from metadiv import (
-    CheckpointSchedule,
     ModelKind,
     asymptote,
     compare_models,
+    every,
     fit_model,
     fit_power_law,
     growth_curves,
@@ -28,7 +28,7 @@ true_d = zipf_true_diversity(N_TYPES, exponent=1.0)
 print(f"corpus: {N_TOKENS} tokens over {N_TYPES} types, true diversity {true_d:.1f}")
 
 # One pass over the tokens gives both curves at every 100th token.
-vocab, diversity = growth_curves(tokens, CheckpointSchedule.every(100), order=1.0)
+vocab, diversity = growth_curves(tokens, every(100), order=1.0)
 
 # The unbounded side: vocabulary follows a power law in n.
 power = fit_power_law(vocab)

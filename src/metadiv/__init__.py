@@ -8,8 +8,8 @@ vocabulary profiles.
 
 from .accumulation import (
     AccumulationCurve,
-    CheckpointSchedule,
     diversity_growth,
+    every,
     growth_curves,
     vocabulary_growth,
 )
@@ -36,7 +36,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AccumulationCurve",
-    "CheckpointSchedule",
     "FrequencyDistribution",
     "FitResult",
     "InsufficientDataError",
@@ -48,6 +47,7 @@ __all__ = [
     "diversity_growth",
     "diversity_richness_ratio",
     "eval_model",
+    "every",
     "fit_model",
     "fit_power_law",
     "growth_curves",

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from collections import defaultdict
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from itertools import count, islice
 
@@ -21,44 +22,12 @@ import numpy as np
 from .diversity import _check_order, hill_from_probabilities
 
 __all__ = [
-    "CheckpointSchedule",
+    "every",
     "AccumulationCurve",
     "vocabulary_growth",
     "diversity_growth",
     "growth_curves",
 ]
-
-
-@dataclass(frozen=True)
-class CheckpointSchedule:
-    """Positions at which a growth statistic is sampled.
-
-    Built by ``every`` (every m-th event) or ``explicit`` (a caller-supplied
-    list).  Both yield strictly increasing positions; the consumer appends a
-    final checkpoint at the stream end when the schedule does not land on it.
-    """
-
-    step: int = 0
-    points: tuple[int, ...] = ()
-
-    @classmethod
-    def every(cls, step: int) -> CheckpointSchedule:
-        if step < 1:
-            raise ValueError("checkpoint step must be >= 1")
-        return cls(step=step)
-
-    @classmethod
-    def explicit(cls, points: Sequence[int]) -> CheckpointSchedule:
-        pts = tuple(int(p) for p in points)
-        if any(p < 1 for p in pts):
-            raise ValueError("checkpoints must be >= 1")
-        if any(b <= a for a, b in zip(pts, pts[1:])):
-            raise ValueError("checkpoints must be strictly increasing")
-        return cls(points=pts)
-
-    def positions(self) -> Iterator[int]:
-        """Unbounded (``every``) or explicit strictly increasing positions."""
-        return count(self.step, self.step) if self.step else iter(self.points)
 
 
 @dataclass(frozen=True)
@@ -150,23 +119,45 @@ class AccumulationCurve:
 _FLUSH_EVENTS = 4096  # ids reach the counts at least this often: O(types) memory
 
 
-def growth_curves(events: Iterable[str], schedule: CheckpointSchedule,
+def every(step: int) -> range:
+    """Checkpoints at every ``step``-th event, for a stream of any length.
+
+    The range can be iterated again, so one schedule serves many streams.
+    """
+    if step < 1:
+        raise ValueError("checkpoint step must be >= 1")
+    return range(step, sys.maxsize, step)
+
+
+def _next_checkpoint(positions: Iterator[int], previous: int) -> int | None:
+    position = next(positions, None)
+    if position is not None and not position > previous:
+        raise ValueError(f"checkpoint {position} is below 1" if previous == 0 else
+                         f"checkpoint {position} does not exceed the previous one, {previous}")
+    return position
+
+
+def growth_curves(events: Iterable[str], checkpoints: Iterable[int],
                   order: float = 1.0) -> tuple[AccumulationCurve, AccumulationCurve]:
     """Type-count and Hill-diversity curves of the events, from one pass.
 
-    Labels get ids in first-seen order, so ``counts[:R]`` lists the per-type
-    counts as a label -> count dict iterates them: the Hill sum adds the same
-    terms in the same order as a from-scratch count of the prefix.  The final
+    ``checkpoints`` are the positions n to sample, strictly increasing from
+    1, such as ``every(100)`` or a list.  The pass takes the next position
+    when it reaches the previous one, and checks it then.  The final
     checkpoint at the stream end is always included; an empty stream yields
     two empty curves.
+
+    Labels get ids in first-seen order, so ``counts[:R]`` lists the per-type
+    counts as a label -> count dict iterates them: the Hill sum adds the same
+    terms in the same order as a from-scratch count of the prefix.
     """
     order = _check_order(order)
     ids: defaultdict[str, int] = defaultdict(count().__next__)  # a new label gets the next id
     stream = iter(events)
     counts = probs = terms = np.zeros(0)  # probs and terms: reused by each Hill sum
     types, hills = [], []  # (n, value) rows
-    positions = schedule.positions()
-    target = next(positions, None)
+    positions = iter(checkpoints)
+    target = _next_checkpoint(positions, 0)
     n = 0
     while True:
         stop = n + _FLUSH_EVENTS if target is None else min(target, n + _FLUSH_EVENTS)
@@ -182,18 +173,18 @@ def growth_curves(events: Iterable[str], schedule: CheckpointSchedule,
             types.append((n, float(r)))
             p = np.divide(counts[:r], n, out=probs[:r])
             hills.append((n, hill_from_probabilities(p, order, out=terms[:r])))
-            target = next(positions, None)
+            target = _next_checkpoint(positions, target)
         if ended:
             return AccumulationCurve(tuple(types), "type-count"), AccumulationCurve(tuple(hills))
 
 
-def vocabulary_growth(events: Iterable[str], schedule: CheckpointSchedule) -> AccumulationCurve:
+def vocabulary_growth(events: Iterable[str], checkpoints: Iterable[int]) -> AccumulationCurve:
     """Number of distinct labels among the first n events, per checkpoint."""
-    return growth_curves(events, schedule)[0]
+    return growth_curves(events, checkpoints)[0]
 
 
 def diversity_growth(
-    events: Iterable[str], schedule: CheckpointSchedule, order: float = 1.0
+    events: Iterable[str], checkpoints: Iterable[int], order: float = 1.0
 ) -> AccumulationCurve:
     """Hill diversity of the first n events, per checkpoint, in one pass."""
-    return growth_curves(events, schedule, order)[1]
+    return growth_curves(events, checkpoints, order)[1]

@@ -4,10 +4,12 @@ Subcommands: ``lexdiv`` (per-document lexical diversity), ``fit`` (model
 fitting on a saved curve), ``marc`` (catalog facet series) and ``lod``
 (endpoint diversity profiles).  Output is byte-deterministic for fixed
 inputs: fixed column order, four decimals for diversity values, two for
-diversity/richness ratios.  This module writes every stdout byte: the
-library's result objects carry numbers, and the printers below choose the
-fields and their precision.  Exit codes: 0 success, 1 input error,
-2 transport error, 64 usage error.
+diversity/richness ratios; a CSV cell that holds a file or endpoint name is
+quoted (RFC 4180) only when it contains a comma, a quote or a line break.
+This module writes every stdout byte: the library's result objects carry
+numbers, and the printers below choose the fields and their precision.
+Exit codes: 0 success, 1 input error, 2 transport error, 64 usage error.
+Run it as ``metadiv`` once installed, or as ``python -m metadiv.cli``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import json
 import os
 import sys
 
-from .accumulation import AccumulationCurve, CheckpointSchedule
+from .accumulation import AccumulationCurve, every
 from .diversity import _check_order
 from .fitting import FitResult, ModelKind, compare_models, fit_model, fit_power_law
 from .lod import HarvestError, LodProfile, SparqlClient, SparqlTransport, load_roster, profile
@@ -91,6 +93,13 @@ def _fmt4(value: float) -> str:
     return f"{round(value, 4) + 0.0:.4f}"
 
 
+def _csv_cell(text: str) -> str:
+    # RFC 4180: quoted, with quotes doubled, only when the text needs it
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _write_output(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
@@ -148,7 +157,7 @@ def _curve_stem(path: str) -> str:
 
 
 def _run_lexdiv(args, transport) -> int:
-    schedule = CheckpointSchedule.every(args.every)
+    checkpoints = every(args.every)
     order = _check_order(args.order)  # checked here so its error names no document
     if args.curves:  # before any document is read
         stems: dict[str, str] = {}  # file stem -> the first document with it
@@ -161,7 +170,7 @@ def _run_lexdiv(args, transport) -> int:
         try:
             with open(path, encoding="utf-8") as f:
                 tokens = tokenize(f.read())
-            reports.append(lexical_report(tokens, path, order, schedule, args.train))
+            reports.append(lexical_report(tokens, path, order, checkpoints, args.train))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
 
@@ -188,7 +197,7 @@ def _run_lexdiv(args, transport) -> int:
         lines = [LEXDIV_CSV_HEADER]
         for r in reports:
             lines.append(
-                f"{r.source_id},{r.n_tokens},{r.n_types},"
+                f"{_csv_cell(r.source_id)},{r.n_tokens},{r.n_types},"
                 f"{_fmt4(r.observed_diversity)},{_fmt4(r.extrapolated_diversity)},"
                 f"{_fmt4(r.power_law.params['C'])},{_fmt4(r.power_law.params['alpha'])}"
             )
@@ -251,8 +260,9 @@ def _run_lod(args, transport) -> int:
         for prof in profiles:
             derived = prof.derived()
             cls, prop = derived["class"], derived["property"]
-            lines.append(f"{prof.endpoint},{_fmt4(cls.diversity)},{cls.richness},{cls.ratio:.2f},"
-                         f"{_fmt4(prop.diversity)},{prop.richness},{prop.ratio:.2f}")
+            lines.append(f"{_csv_cell(prof.endpoint)},{_fmt4(cls.diversity)},{cls.richness},"
+                         f"{cls.ratio:.2f},{_fmt4(prop.diversity)},{prop.richness},"
+                         f"{prop.ratio:.2f}")
         _write_output("\n".join(lines) + "\n", args.output)
     else:
         payload = [_profile_fields(p) for p in profiles]
@@ -281,3 +291,7 @@ def main(argv=None, transport: SparqlTransport | None = None) -> int:
 
 def console_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

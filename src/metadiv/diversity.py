@@ -96,9 +96,9 @@ def _entropy_from_probabilities(p: np.ndarray, out: np.ndarray | None = None) ->
 def hill_from_probabilities(p: np.ndarray, order: float, *, out: np.ndarray | None = None) -> float:
     """Hill diversity of a probability vector (all entries strictly positive).
 
-    ``out``, shaped like ``p``, takes the order-1 terms p log p instead of a new array.
+    ``order`` must already have passed ``_check_order``.  ``out``, shaped
+    like ``p``, takes the order-1 terms p log p instead of a new array.
     """
-    order = _check_order(order)
     if p.size == 0:
         raise ValueError("diversity of an empty distribution is undefined")
     if abs(order - 1.0) < ORDER_ONE_EPS:
@@ -128,7 +128,7 @@ def hill_diversity(dist: FrequencyDistribution, order: float) -> float:
     The result always lies in [1, richness]: order 0 counts every class
     equally, and increasing the order discounts rare classes.
     """
-    return hill_from_probabilities(dist.probabilities(), order)  # raises if empty
+    return hill_from_probabilities(dist.probabilities(), _check_order(order))  # raises if empty
 
 
 def diversity_richness_ratio(dist: FrequencyDistribution, order: float = 1.0) -> float:

@@ -144,12 +144,14 @@ class EndpointConfig:
             raise ValueError(f"url must be an ASCII http(s) URL with a host, got {self.url!r}")
         if self.page_size < 1:
             raise ValueError("page size must be >= 1")
-        # A longer socket timeout or sleep overflows the platform's time_t.
+        # A longer socket timeout overflows the platform's time_t.  time.sleep
+        # adds its delay to the monotonic clock first, so half of that bound
+        # leaves room for any uptime.
         if not 0.0 < self.timeout <= TIMEOUT_MAX:  # also rejects nan
             raise ValueError(f"timeout must be > 0 and at most {TIMEOUT_MAX:.0f} s, "
                              f"got {self.timeout}")
-        if not 0 <= self.delay_ms <= TIMEOUT_MAX * 1000:
-            raise ValueError(f"delay_ms must be >= 0 and at most {TIMEOUT_MAX * 1000:.0f}, "
+        if not 0 <= self.delay_ms <= TIMEOUT_MAX * 500:
+            raise ValueError(f"delay_ms must be >= 0 and at most {TIMEOUT_MAX * 500:.0f}, "
                              f"got {self.delay_ms}")
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import accumulate, chain
 from xml.etree import ElementTree
 
-from .accumulation import CheckpointSchedule, growth_curves
+from .accumulation import growth_curves
 from .accumulation import diversity_growth, vocabulary_growth  # noqa: F401  perfbench/spans.py wraps them here
 from .diversity import _check_order
 
@@ -349,7 +349,7 @@ def facet_series(
     years = sorted(buckets)
     ends = list(accumulate(buckets[year].total() for year in years))
     events = chain.from_iterable(buckets[year].elements() for year in years)
-    rich_curve, div_curve = growth_curves(events, CheckpointSchedule.explicit(ends), order)
+    rich_curve, div_curve = growth_curves(events, ends, order)
     rows = tuple(
         (year, int(rich), div)
         for year, (_, rich), (_, div) in zip(years, rich_curve.points, div_curve.points)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accumulation import AccumulationCurve, CheckpointSchedule, growth_curves
+from .accumulation import AccumulationCurve, every, growth_curves
 from .accumulation import diversity_growth, vocabulary_growth  # noqa: F401  perfbench/spans.py wraps them here
 from .diversity import _check_order
 from .fitting import (FitResult, InsufficientDataError, ModelKind, RankedModel, compare_models,
@@ -79,7 +79,7 @@ def lexical_report(
     tokens: Iterable[str],
     source_id: str,
     order: float = 1.0,
-    schedule: CheckpointSchedule | None = None,
+    checkpoints: Iterable[int] = every(100),
     train_limit: int = DEFAULT_TRAIN_LIMIT,
 ) -> LexicalReport:
     """Build the full lexical-diversity report for one document.
@@ -92,7 +92,7 @@ def lexical_report(
     either side of the limit.
     """
     order = _check_order(order)
-    vocab, div = growth_curves(tokens, schedule or CheckpointSchedule.every(100), order)
+    vocab, div = growth_curves(tokens, checkpoints, order)
     if not vocab.points:
         raise ValueError("document contains no tokens")
 

@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from metadiv.accumulation import CheckpointSchedule, diversity_growth
+from metadiv.accumulation import diversity_growth, every
 from metadiv.lod import (
     CLASS_COUNT_QUERY,
     PROPERTY_COUNT_QUERY,
@@ -31,7 +31,7 @@ def zipf_tokens() -> tuple[str, ...]:
 
 @pytest.fixture(scope="session")
 def zipf_diversity_curve(zipf_tokens):
-    return diversity_growth(zipf_tokens, CheckpointSchedule.every(100), order=1.0)
+    return diversity_growth(zipf_tokens, every(100), order=1.0)
 
 
 @pytest.fixture(scope="session")

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from metadiv import accumulation
 from metadiv.accumulation import (
     AccumulationCurve,
-    CheckpointSchedule,
     diversity_growth,
+    every,
     growth_curves,
     vocabulary_growth,
 )
@@ -29,7 +29,7 @@ def from_scratch(events, schedule, order):
     ``order`` None gives the type count, otherwise the Hill diversity of the
     counts in first-seen order.
     """
-    ns = list(itertools.takewhile(lambda p: p <= len(events), schedule.positions()))
+    ns = list(itertools.takewhile(lambda p: p <= len(events), schedule))
     if events and (not ns or ns[-1] != len(events)):
         ns.append(len(events))
     points = []
@@ -53,11 +53,10 @@ streams = st.one_of(
 )
 
 
-def log_spaced(per_decade: int, limit: int) -> CheckpointSchedule:
-    """Explicit schedule at the rounded powers 10**(i / per_decade) up to limit."""
+def log_spaced(per_decade: int, limit: int) -> list[int]:
+    """Checkpoints at the rounded powers 10**(i / per_decade) up to limit."""
     powers = (10 ** (i / per_decade) for i in itertools.count())
-    points = dict.fromkeys(round(p) for p in itertools.takewhile(lambda p: p <= limit, powers))
-    return CheckpointSchedule.explicit(list(points))
+    return list(dict.fromkeys(round(p) for p in itertools.takewhile(lambda p: p <= limit, powers)))
 
 
 @st.composite
@@ -65,59 +64,75 @@ def stream_and_schedule(draw):
     events = draw(streams)
     kind = draw(st.sampled_from(["every", "log-spaced", "explicit"]))
     if kind == "every":
-        return events, CheckpointSchedule.every(draw(st.integers(1, 30)))
+        return events, every(draw(st.integers(1, 30)))
     if kind == "log-spaced":
         return events, log_spaced(draw(st.integers(1, 20)), len(events) + 1)
     # Explicit points may lie past the end of the stream or exactly on it.
     points = draw(st.sets(st.integers(1, len(events) + 20), max_size=12))
     if events and draw(st.booleans()):
         points.add(len(events))
-    return events, CheckpointSchedule.explicit(sorted(points))
+    return events, sorted(points)
 
 
 class TestSchedules:
     def test_every(self):
-        sched = CheckpointSchedule.every(10)
-        positions = []
-        for pos in sched.positions():
-            if pos > 45:
-                break
-            positions.append(pos)
+        sched = every(10)
+        positions = list(itertools.takewhile(lambda pos: pos <= 45, sched))
         assert positions == [10, 20, 30, 40]
+        assert list(itertools.islice(sched, 4)) == positions  # iterable again
 
     def test_every_rejects_bad_step(self):
-        with pytest.raises(ValueError):
-            CheckpointSchedule.every(0)
+        for step in (0, -2):
+            with pytest.raises(ValueError, match="^checkpoint step must be >= 1$"):
+                every(step)
 
     def test_explicit_validated(self):
-        with pytest.raises(ValueError):
-            CheckpointSchedule.explicit([5, 5, 6])
-        with pytest.raises(ValueError):
-            CheckpointSchedule.explicit([0, 3])
+        with pytest.raises(ValueError, match="checkpoint 5 does not exceed"):
+            growth_curves("abcdefgh", [5, 5, 6])
+        with pytest.raises(ValueError, match="checkpoint 0 is below 1"):
+            growth_curves("abcdefgh", [0, 3])
+
+    @pytest.mark.parametrize("checkpoints, message", [
+        ((5, 3), "checkpoint 3 does not exceed the previous one, 5"),
+        ((2, 4, 4), "checkpoint 4 does not exceed the previous one, 4"),
+        ((0,), "checkpoint 0 is below 1"),
+        ((-2, 3), "checkpoint -2 is below 1"),
+        ((1, -1), "checkpoint -1 does not exceed the previous one, 1"),
+    ], ids=["decreasing", "repeated", "zero", "negative", "negative-later"])
+    def test_kernel_names_a_bad_position(self, checkpoints, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            growth_curves(list("abcdefgh"), checkpoints)
+
+    def test_positions_are_taken_as_the_stream_reaches_them(self):
+        # An unbounded generator is read only as far as the stream goes, and
+        # a bad position after the first one past the end is never taken.
+        curve = vocabulary_growth("abcab", itertools.count(2, 2))
+        assert curve.points == ((2, 2.0), (4, 3.0), (5, 3.0))
+        assert vocabulary_growth("abc", [2, 5, 9, 1]).points == ((2, 2.0), (3, 3.0))
 
 
 class TestVocabularyGrowth:
     def test_hand_simulated(self):
-        curve = vocabulary_growth("abac", CheckpointSchedule.every(1))
+        curve = vocabulary_growth("abac", every(1))
         assert curve.points == ((1, 1.0), (2, 2.0), (3, 2.0), (4, 3.0))
         assert curve.statistic == "type-count"
 
     def test_single_repeated_label(self):
-        curve = vocabulary_growth(["x"] * 100, CheckpointSchedule.every(10))
+        curve = vocabulary_growth(["x"] * 100, every(10))
         assert all(v == 1.0 for _, v in curve.points)
         assert curve.points[-1] == (100, 1.0)
 
     def test_all_distinct(self):
         events = [f"t{i}" for i in range(57)]
-        curve = vocabulary_growth(events, CheckpointSchedule.every(10))
+        curve = vocabulary_growth(events, every(10))
         assert all(v == float(n) for n, v in curve.points)
 
     def test_final_checkpoint_always_included(self):
-        curve = vocabulary_growth("abcde", CheckpointSchedule.every(2))
+        curve = vocabulary_growth("abcde", every(2))
         assert curve.points[-1][0] == 5
 
     def test_empty_stream(self):
-        curve = vocabulary_growth([], CheckpointSchedule.every(10))
+        curve = vocabulary_growth([], every(10))
         assert curve.points == ()
 
     def test_never_exceeds_n_or_total_types(self):
@@ -132,36 +147,36 @@ class TestVocabularyGrowth:
 
 class TestDiversityGrowth:
     def test_two_uniform_classes(self):
-        curve = diversity_growth("ab", CheckpointSchedule.every(1), order=1.0)
+        curve = diversity_growth("ab", every(1), order=1.0)
         assert curve.points[0] == (1, pytest.approx(1.0))
         assert curve.points[1] == (2, pytest.approx(2.0))
 
     def test_constant_for_single_class(self):
-        curve = diversity_growth(["a"] * 50, CheckpointSchedule.every(7), order=1.0)
+        curve = diversity_growth(["a"] * 50, every(7), order=1.0)
         assert all(v == pytest.approx(1.0) for _, v in curve.points)
 
     def test_order_two_point_value(self):
         # counts a:2, b:6 at n=8 -> 1 / ((2/8)^2 + (6/8)^2)
-        curve = diversity_growth("abab" + "b" * 4, CheckpointSchedule.every(8), order=2.0)
+        curve = diversity_growth("abab" + "b" * 4, every(8), order=2.0)
         assert curve.points[-1] == (8, pytest.approx(1.6))
 
     def test_empty_stream(self):
-        curve = diversity_growth([], CheckpointSchedule.every(3), order=1.0)
+        curve = diversity_growth([], every(3), order=1.0)
         assert curve.points == ()
 
     @pytest.mark.parametrize("order", [0.0, 1.0, 2.0])
     def test_matches_from_scratch_prefix_distribution(self, order):
         rng = np.random.default_rng(31)
         events = [f"w{i}" for i in rng.zipf(1.6, size=10_000) if i <= 500]
-        curve = diversity_growth(events, CheckpointSchedule.every(97), order=order)
+        curve = diversity_growth(events, every(97), order=order)
         for n, value in curve.points[:: max(1, len(curve) // 20)]:
             prefix = FrequencyDistribution.from_events(events[:n])
             assert value == hill_diversity(prefix, order)
 
     def test_deterministic(self):
         events = list("the quick brown fox jumps over the lazy dog" * 20)
-        a = diversity_growth(events, CheckpointSchedule.every(50), order=1.0)
-        b = diversity_growth(events, CheckpointSchedule.every(50), order=1.0)
+        a = diversity_growth(events, every(50), order=1.0)
+        b = diversity_growth(events, every(50), order=1.0)
         assert a == b
 
 
@@ -238,7 +253,7 @@ class TestCurveContainer:
         assert curve.truncated(5).points == ((1, 1.0), (5, 2.0))
 
     def test_csv_round_trip(self):
-        curve = diversity_growth("abacabadae", CheckpointSchedule.every(2), order=1.0)
+        curve = diversity_growth("abacabadae", every(2), order=1.0)
         text = curve.to_csv()
         assert text.splitlines()[0] == "n,value"
         parsed = AccumulationCurve.from_csv(io.StringIO(text))
@@ -259,7 +274,7 @@ class TestCurveContainer:
         assert parsed.to_csv() == text
 
     def test_type_counts_serialized_as_integers(self):
-        curve = vocabulary_growth("aabbcc", CheckpointSchedule.every(2))
+        curve = vocabulary_growth("aabbcc", every(2))
         rows = curve.to_csv().splitlines()[1:]
         assert rows == ["2,1", "4,2", "6,3"]
 

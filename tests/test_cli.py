@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import csv
+import io
 import json
 import os
 import subprocess
@@ -20,6 +23,7 @@ from metadiv.models import FORMS, ModelKind, eval_model
 from .conftest import (PEOPLE_GRAPH, FlakyTransport, GraphTransport, NegatedCounts, marc_collection,
                        marc_record)
 
+ROOT = Path(__file__).resolve().parents[1]
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 ALPHA_TEXT = "The quick brown fox jumps over the lazy dog. " * 40
@@ -182,6 +186,21 @@ class TestLexdiv:
         capsys.readouterr()
         assert code == cli.EXIT_OK
         assert Path("report.csv").read_text().startswith(cli.LEXDIV_CSV_HEADER)
+
+    @pytest.mark.parametrize("name, cell", [
+        ("a,b.txt", '"a,b.txt"'),
+        ('say "hi".txt', '"say ""hi"".txt"'),
+        ("two\nlines.txt", '"two\nlines.txt"'),
+        ("plain name.txt", "plain name.txt"),
+    ])
+    def test_csv_source_quoted_only_when_needed(self, corpus_dir, capsys, name, cell):
+        (corpus_dir / name).write_text(ALPHA_TEXT, encoding="utf-8")
+        assert cli.main(["lexdiv", name, "beta.txt", "--every", "20"]) == cli.EXIT_OK
+        out = capsys.readouterr().out
+        rows = list(csv.reader(io.StringIO(out)))
+        assert [len(row) for row in rows[:3]] == [7, 7, 7]
+        assert [rows[1][0], rows[2][0]] == [name, "beta.txt"]
+        assert out.split("\n", 1)[1].startswith(cell + ",")
 
 
 class TestFit:
@@ -418,6 +437,19 @@ class TestLod:
         )
         check_golden("lod_profile.csv", out)
 
+    def test_csv_host_quoted_when_needed(self, tmp_path, capsys):
+        roster = tmp_path / "roster.json"
+        roster.write_text(json.dumps([
+            {"name": 'FIX, "west"', "url": "http://fixture.invalid/sparql"},
+            {"name": "PLAIN", "url": "http://fixture.invalid/sparql"}]))
+        code = cli.main(["lod", "--roster", str(roster), "--format", "csv"],
+                        transport=GraphTransport(PEOPLE_GRAPH))
+        assert code == cli.EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:] == ['"FIX, ""west""",1.8899,2,0.94,1.0000,1,1.00',
+                             "PLAIN,1.8899,2,0.94,1.0000,1,1.00"]
+        assert [row[0] for row in csv.reader(lines[1:])] == ['FIX, "west"', "PLAIN"]
+
     def test_retry_leaves_stdout_unchanged(self, fixture_roster, capsys, monkeypatch):
         monkeypatch.setattr(lod, "BACKOFF_BASE_SECONDS", 0)
         transport = FlakyTransport(GraphTransport(PEOPLE_GRAPH), failures=1)
@@ -539,12 +571,77 @@ class TestUsage:
         assert cli.main(["--help"]) == 0
         assert "metadiv" in capsys.readouterr().out
 
+    def test_module_runs_the_cli(self, tmp_path):
+        # ``python -m metadiv.cli`` is the CLI: the same exit code and message.
+        roster = tmp_path / "r.json"
+        roster.write_text(json.dumps(
+            [{"name": "X", "url": "http://127.0.0.1:9/sparql", "timeout": 1e12}]))
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        done = subprocess.run([sys.executable, "-m", "metadiv.cli", "lod", "--roster", str(roster)],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (done.returncode, done.stdout) == (cli.EXIT_INPUT, "")
+        assert done.stderr.startswith(f"input error: roster {roster}: entry 0 is invalid")
+        assert "timeout must be > 0" in done.stderr
+
     def test_cold_start_imports_no_http_client(self):
         # The HTTP stack costs tens of milliseconds to import, and only an
         # HttpTransport needs it, so it must not load with the CLI.
-        src = str(Path(__file__).resolve().parents[1] / "src")
+        src = str(ROOT / "src")
         code = (f"import sys; sys.path.insert(0, {src!r}); import metadiv.cli; "
                 "print(sorted({'urllib.request', 'http.client'} & sys.modules.keys()))")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True, timeout=60).stdout
         assert out == "[]\n"
+
+
+def golden_outputs() -> dict[str, str]:
+    """Stdout of the CLI runs behind six goldens, run in the current directory.
+
+    The caller sets ``SOURCE_DATE_EPOCH`` to 1700000000, as ``fixture_roster`` does.
+    """
+    Path("alpha.txt").write_text(ALPHA_TEXT, encoding="utf-8")
+    Path("beta.txt").write_text(BETA_TOKENS, encoding="utf-8")
+    Path("catalog.xml").write_bytes(MARC_FIXTURE)
+    Path("roster.json").write_text(
+        json.dumps([{"name": "FIX", "url": "http://fixture.invalid/sparql"}]))
+    with_sameas = PEOPLE_GRAPH + [("x", "owl:sameAs", "http://viaf.org/viaf/1")]
+    runs = {
+        "lexdiv.csv": (["lexdiv", "alpha.txt", "beta.txt", "--every", "20"], None),
+        **{f"marc_{facet}.csv": (["marc", "catalog.xml", "--facet", facet], None)
+           for facet in ("authors", "subjects", "subdivisions")},
+        "lod_profile.csv": (["lod", "--roster", "roster.json", "--format", "csv"],
+                            GraphTransport(PEOPLE_GRAPH)),
+        "lod_profile.json": (["lod", "--roster", "roster.json", "--format", "json"],
+                             GraphTransport(with_sameas)),
+    }
+    outputs = {}
+    for name, (argv, transport) in runs.items():
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli.main(argv, transport) == cli.EXIT_OK
+        outputs[name] = out.getvalue()
+    return outputs
+
+
+# Each switch makes one child process use the kernels a CPU without AVX-512
+# would get.  On such a CPU, or with another BLAS or numpy, it changes
+# nothing and the test still holds.  ``fit`` and ``lexdiv --format json`` print
+# digits that these switches move, so they are not checked here.
+KERNEL_SWITCHES = {
+    "openblas-haswell": {"OPENBLAS_CORETYPE": "Haswell"},
+    "numpy-avx2": {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+}
+
+
+@pytest.mark.parametrize("switch", KERNEL_SWITCHES.values(), ids=KERNEL_SWITCHES.keys())
+def test_goldens_hold_under_kernel_switch(tmp_path, switch):
+    env = {**os.environ, **switch, "SOURCE_DATE_EPOCH": "1700000000",
+           "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT)])}
+    code = "import json, tests.test_cli as t; print(json.dumps(t.golden_outputs()))"
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    outputs = json.loads(done.stdout)
+    assert set(outputs) == {"lexdiv.csv", "lod_profile.csv", "lod_profile.json",
+                            "marc_authors.csv", "marc_subdivisions.csv", "marc_subjects.csv"}
+    for name, produced in outputs.items():
+        assert produced == (GOLDEN_DIR / name).read_text(encoding="utf-8"), name

@@ -5,9 +5,13 @@ from __future__ import annotations
 import gzip
 import json
 import logging
+import os
+import subprocess
+import sys
 import threading
 import time
 from dataclasses import replace
+from pathlib import Path
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
@@ -78,6 +82,49 @@ class TestEndpointConfig:
             EndpointConfig(name="x", url="http://x", page_size=0)
         with pytest.raises(ValueError):
             EndpointConfig(name="x", url="http://x", delay_ms=-1)
+
+
+# A child process that prints "ready" and then waits as long as a roster
+# entry may make it wait.
+_LONGEST_WAITS = {
+    "delay_ms": """
+import threading
+from metadiv.lod import EndpointConfig, SparqlClient, SparqlResult
+class Answer:
+    def select(self, url, query, timeout):
+        return SparqlResult(rows=[])
+cfg = EndpointConfig(name="X", url="http://x.invalid/sparql",
+                     delay_ms=int(threading.TIMEOUT_MAX * 500))
+client = SparqlClient(cfg, Answer())
+client.select("q")
+print("ready", flush=True)
+client.select("q")  # sleeps the politeness delay first
+""",
+    "timeout": """
+import socket, threading
+from metadiv.lod import EndpointConfig, HttpTransport
+server = socket.create_server(("127.0.0.1", 0))  # connects, never answers
+cfg = EndpointConfig(name="X", url=f"http://127.0.0.1:{server.getsockname()[1]}/sparql",
+                     timeout=threading.TIMEOUT_MAX)
+print("ready", flush=True)
+HttpTransport().select(cfg.url, "SELECT * {}", cfg.timeout)
+""",
+}
+
+
+@pytest.mark.parametrize("code", _LONGEST_WAITS.values(), ids=_LONGEST_WAITS.keys())
+def test_longest_roster_wait_is_one_the_platform_takes(code):
+    # A wait the platform rejects fails at once (EINVAL), so the child must
+    # still be waiting half a second after it starts.
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    with subprocess.Popen([sys.executable, "-c", code], env=env, text=True,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+        try:
+            assert child.stdout.readline() == "ready\n"
+            time.sleep(0.5)
+            assert child.poll() is None
+        finally:
+            child.kill()
 
 
 class TestClassCounts:
@@ -369,7 +416,9 @@ class TestShippedData:
         *(pytest.param([{"name": "X", "url": "http://x/sparql", k: v}], f"entry 0 .*{k}",
                        id=f"{k}-{v}")
           for k, v in (("page_size", 2.5), ("delay_ms", True), ("timeout", True),
-                       ("delay_ms", 0.5), ("timeout", 1e12), ("delay_ms", 1e30))),
+                       ("delay_ms", 0.5), ("timeout", 1e12), ("delay_ms", 1e30),
+                       # just under TIMEOUT_MAX * 1000, which time.sleep cannot take
+                       ("delay_ms", 9_223_372_035_000))),
         pytest.param('[{"name": "X", "url": "http://x/sparql", "page_size": Infinity}]',
                      "entry 0 .*infinity", id="page_size-inf"),
     ])

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metadiv.accumulation import CheckpointSchedule, diversity_growth, vocabulary_growth
+from metadiv.accumulation import diversity_growth, vocabulary_growth
 from metadiv.diversity import FrequencyDistribution, hill_diversity
 from metadiv.marc import (
     EXTENDED_SUBJECT_FIELDS,
@@ -673,9 +673,9 @@ def _ref_facet_series(records, facet, order):
     years = sorted({year for year, _ in events})
     index = {year: n for n, (year, _) in enumerate(events, 1)}
     labels = [label for _, label in events]
-    schedule = CheckpointSchedule.explicit([index[year] for year in years])
-    rich = vocabulary_growth(labels, schedule)
-    div = diversity_growth(labels, schedule, order)
+    checkpoints = [index[year] for year in years]
+    rich = vocabulary_growth(labels, checkpoints)
+    div = diversity_growth(labels, checkpoints, order)
     rows = tuple((year, int(r), d) for year, (_, r), (_, d) in zip(years, rich.points, div.points))
     return FacetSeries(rows, len(events))
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from metadiv.accumulation import CheckpointSchedule
+from metadiv.accumulation import every
 from metadiv.diversity import FrequencyDistribution, richness
 from metadiv.fitting import ModelKind
 from metadiv.synthetic import zipf_corpus, zipf_probabilities, zipf_true_diversity
@@ -80,9 +80,7 @@ class TestTokenize:
 
 class TestLexicalReport:
     def test_degenerate_single_word(self):
-        report = lexical_report(
-            ("lorem",) * 1000, "degenerate", order=1.0, schedule=CheckpointSchedule.every(50)
-        )
+        report = lexical_report(("lorem",) * 1000, "degenerate", order=1.0, checkpoints=every(50))
         assert report.n_tokens == 1000
         assert report.n_types == 1
         assert report.observed_diversity == pytest.approx(1.0)
@@ -96,9 +94,9 @@ class TestLexicalReport:
 
     def test_any_iterable_of_tokens(self):
         tokens = zipf_corpus(2_000, 80, seed=5)
-        schedule = CheckpointSchedule.every(10)
-        whole = lexical_report(tokens, "z", schedule=schedule, train_limit=500)
-        streamed = lexical_report(iter(tokens), "z", schedule=schedule, train_limit=500)
+        checkpoints = every(10)
+        whole = lexical_report(tokens, "z", checkpoints=checkpoints, train_limit=500)
+        streamed = lexical_report(iter(tokens), "z", checkpoints=checkpoints, train_limit=500)
         assert streamed == whole
         assert streamed.n_tokens == whole.n_tokens == 2_000
         assert (streamed.vocabulary_curve, streamed.diversity_curve) == (
@@ -132,8 +130,7 @@ class TestLexicalReport:
         # Checkpoints every 10 tokens: 3 training points at 30, 4 at 40, and
         # none past 400 to hold out.
         tokens = zipf_corpus(400, 60, seed=3)
-        report = lexical_report(tokens, "z", schedule=CheckpointSchedule.every(10),
-                                train_limit=train_limit)
+        report = lexical_report(tokens, "z", checkpoints=every(10), train_limit=train_limit)
         assert (None if report.ranking is None else len(report.ranking)) == ranked
 
 
