@@ -131,6 +131,8 @@ def every(step: int) -> range:
 
 def _next_checkpoint(positions: Iterator[int], previous: int) -> int | None:
     position = next(positions, None)
+    if position is not None and not hasattr(position, "__index__"):  # what islice takes
+        raise ValueError(f"checkpoint {position!r} is not an integer")
     if position is not None and not position > previous:
         raise ValueError(f"checkpoint {position} is below 1" if previous == 0 else
                          f"checkpoint {position} does not exceed the previous one, {previous}")

@@ -103,7 +103,12 @@ def hill_from_probabilities(p: np.ndarray, order: float, *, out: np.ndarray | No
         raise ValueError("diversity of an empty distribution is undefined")
     if abs(order - 1.0) < ORDER_ONE_EPS:
         return float(np.exp(_entropy_from_probabilities(p, out)))
-    return float(np.sum(p**order) ** (1.0 / (1.0 - order)))
+    total = np.sum(p**order)
+    if total < np.finfo(float).tiny:  # p**k underflowed: log D = logsumexp(k ln p) / (1 - k)
+        logs = order * np.log(p)
+        top = logs.max()
+        return float(np.exp((top + np.log(np.exp(logs - top).sum())) / (1.0 - order)))
+    return float(total ** (1.0 / (1.0 - order)))
 
 
 def richness(dist: FrequencyDistribution) -> int:

@@ -3,12 +3,13 @@
 Each endpoint is queried for the number of resources per class, the number
 of triples per property, and the number of owl:sameAs links per external
 hostname.  When an endpoint truncates result sets or times out on the
-grouped query, retrieval falls back to a partitioned two-phase strategy:
-enumerate the distinct keys page by page, then count per key in batches via
-VALUES clauses.  Every harvester takes one ``SparqlClient``, which holds the
-endpoint's config and transport; its requests are strictly sequential and
-separated by a politeness delay.  The default transport, ``HttpTransport``,
-speaks the SPARQL 1.1 Protocol through the standard library's urllib.
+grouped query, retrieval falls back to a page loop: each page of distinct
+keys is counted in one VALUES batch before the next page is requested, so a
+harvest holds one page of keys.  Every harvester takes one ``SparqlClient``,
+which holds the endpoint's config and transport; its requests are strictly
+sequential and separated by a politeness delay.  The default transport,
+``HttpTransport``, speaks the SPARQL 1.1 Protocol through the standard
+library's urllib.
 """
 
 from __future__ import annotations
@@ -142,8 +143,8 @@ class EndpointConfig:
         parts = urlsplit(str(self.url))
         if not (parts.scheme in ("http", "https") and parts.hostname and str(self.url).isascii()):
             raise ValueError(f"url must be an ASCII http(s) URL with a host, got {self.url!r}")
-        if self.page_size < 1:
-            raise ValueError("page size must be >= 1")
+        if isinstance(self.page_size, (bool, float)) or self.page_size < 1:
+            raise ValueError(f"page size must be an integer >= 1, got {self.page_size!r}")
         # A longer socket timeout overflows the platform's time_t.  time.sleep
         # adds its delay to the monotonic clock first, so half of that bound
         # leaves room for any uptime.
@@ -280,8 +281,8 @@ def _counts_from_rows(
     return FrequencyDistribution.from_counts(pairs)
 
 
-# Partitioned retrieval, shared by the class and property harvests: key
-# enumeration page by page, then per-key counts in VALUES batches.
+# Partitioned retrieval, shared by the class and property harvests: each page
+# of keys is counted in one VALUES batch before the next page is requested.
 _ENUM = (
     "SELECT DISTINCT ?{key} WHERE {{ {pattern} }} "
     "ORDER BY ?{key} LIMIT {limit} OFFSET {offset}"
@@ -292,41 +293,31 @@ _BATCH = (
 )
 
 
-def _paginate_keys(client: SparqlClient, key: str, pattern: str) -> list[str]:
-    keys: list[str] = []
-    offset = 0
-    page = client.cfg.page_size
-    while True:
-        query = _ENUM.format(key=key, pattern=pattern, limit=page, offset=offset)
-        rows = client.select(query).rows
-        for row in rows:
-            try:
-                keys.append(row[key])
-            except KeyError as exc:
-                raise ProtocolError(f"malformed key row {row!r}") from exc
-        if len(rows) < page:
-            return keys
-        offset += page
-
-
 def _grouped_with_fallback(
     client: SparqlClient, direct_query: str, key: str, pattern: str, count: str
 ) -> FrequencyDistribution:
     """Counts per ``key`` from ``direct_query``, or from partitioned ``pattern`` queries."""
+    page = client.cfg.page_size
     try:
         result = client.select(direct_query)
-        if not result.truncated and len(result.rows) < client.cfg.page_size:
+        if not result.truncated and len(result.rows) < page:
             return _counts_from_rows(result.rows, key)
     except QueryTimeout:
         pass
-    keys = _paginate_keys(client, key, pattern)
-    page = client.cfg.page_size
     rows: list[dict[str, str]] = []
-    for start in range(0, len(keys), page):
-        values = " ".join(f"<{k}>" for k in keys[start : start + page])
-        query = _BATCH.format(key=key, count=count, values=values, pattern=pattern)
-        rows.extend(client.select(query).rows)
-    return _counts_from_rows(rows, key)
+    offset = 0
+    while True:
+        key_rows = client.select(_ENUM.format(key=key, pattern=pattern, limit=page,
+                                              offset=offset)).rows
+        if malformed := [row for row in key_rows if key not in row]:
+            raise ProtocolError(f"malformed key row {malformed[0]!r}")
+        if key_rows:
+            values = " ".join(f"<{row[key]}>" for row in key_rows)
+            query = _BATCH.format(key=key, count=count, values=values, pattern=pattern)
+            rows.extend(client.select(query).rows)
+        if len(key_rows) < page:
+            return _counts_from_rows(rows, key)
+        offset += page
 
 
 def class_counts(client: SparqlClient) -> FrequencyDistribution:

@@ -98,7 +98,10 @@ class TestSchedules:
         ((0,), "checkpoint 0 is below 1"),
         ((-2, 3), "checkpoint -2 is below 1"),
         ((1, -1), "checkpoint -1 does not exceed the previous one, 1"),
-    ], ids=["decreasing", "repeated", "zero", "negative", "negative-later"])
+        ((2.5,), r"checkpoint 2\.5 is not an integer"),
+        ((2, 3.5), r"checkpoint 3\.5 is not an integer"),
+    ], ids=["decreasing", "repeated", "zero", "negative", "negative-later", "fractional",
+            "fractional-later"])
     def test_kernel_names_a_bad_position(self, checkpoints, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             growth_curves(list("abcdefgh"), checkpoints)

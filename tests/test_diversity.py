@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -231,3 +232,29 @@ class TestScratchBuffer:
         assert buffered == hill_from_probabilities(p, order)
         if order == 1.0:  # the allocating expression written out
             assert buffered == float(np.exp(float(-np.sum(p * np.log(p)))))
+
+
+def hill_oracle(p, order) -> float:
+    """Hill diversity of the float probabilities ``p``, worked at 50 digits."""
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emin, ctx.Emax = 50, MIN_EMIN, MAX_EMAX  # 0.1 ** 1e6 is 1e-1000000
+        total = sum(Decimal(x) ** Decimal(order) for x in p)
+        return float(total ** (1 / (1 - Decimal(order))))
+
+
+class TestHighOrders:
+    @pytest.mark.parametrize("p", [[0.5, 0.5], [0.9, 0.1], [0.7, 0.2, 0.1]])
+    @pytest.mark.parametrize("order", [2000.0, 1e6])
+    def test_finite_where_the_power_sum_underflows(self, p, order):
+        # sum p**k is below the smallest normal float in all but (0.9, 0.1) at
+        # order 2000; where it is 0.0, 0.0 ** (1 / (1 - k)) divides by zero
+        assert hill_from_probabilities(np.array(p), order) == pytest.approx(
+            hill_oracle(p, order), rel=1e-14
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(counts_lists, st.sampled_from([0.0, 0.5, 2.0, 3.0]))
+    def test_direct_form_unchanged(self, counts, order):
+        p = np.array(counts, dtype=float) / sum(counts)
+        direct = float(np.sum(p**order) ** (1.0 / (1.0 - order)))
+        assert hill_from_probabilities(p, order) == direct

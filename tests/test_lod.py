@@ -29,6 +29,7 @@ from metadiv.lod import (
     ProtocolError,
     QueryTimeout,
     SparqlClient,
+    SparqlResult,
     TransportError,
     class_counts,
     load_published_profiles,
@@ -82,6 +83,10 @@ class TestEndpointConfig:
             EndpointConfig(name="x", url="http://x", page_size=0)
         with pytest.raises(ValueError):
             EndpointConfig(name="x", url="http://x", delay_ms=-1)
+        # the page size is sent as the LIMIT of each enumeration query
+        for page_size in (2.5, True):
+            with pytest.raises(ValueError, match=f"got {page_size!r}$"):
+                EndpointConfig(name="x", url="http://a.example/s", page_size=page_size)
 
 
 # A child process that prints "ready" and then waits as long as a roster
@@ -166,6 +171,37 @@ class TestClassCounts:
         cfg = EndpointConfig(name="FIX", url="http://fixture.invalid/sparql", page_size=1)
         partitioned = class_counts(SparqlClient(cfg, GraphTransport(PEOPLE_GRAPH, row_cap=1)))
         assert direct == partitioned
+
+    @pytest.mark.parametrize("n_classes, page", [(7, 1), (7, 2), (7, 3), (7, 7), (6, 3)])
+    def test_each_page_is_counted_before_the_next_is_requested(self, n_classes, page):
+        graph = [(f"s{i}", "rdf:type", f"http://example.org/C{i % n_classes}")
+                 for i in range(3 * n_classes)]
+        transport = GraphTransport(graph, row_cap=page)
+        dist = class_counts(SparqlClient(replace(CFG, page_size=page), transport))
+        assert dist == class_counts(SparqlClient(CFG, GraphTransport(graph)))
+        kinds = "".join("D" if q == CLASS_COUNT_QUERY else "E" if q.startswith("SELECT DISTINCT")
+                        else "B" for q in transport.queries)
+        # direct, then page and batch in turn; a full last page is followed
+        # by one empty page, which sends no batch
+        batches = -(-n_classes // page)
+        assert kinds == "D" + "EB" * batches + ("E" if n_classes % page == 0 else "")
+        assert kinds.count("E") == n_classes // page + 1
+        assert "VALUES ?class {  }" not in "".join(transport.queries)
+
+    def test_malformed_key_row_raises_protocol_error(self):
+        inner = GraphTransport(PEOPLE_GRAPH)
+
+        class KeylessPage:
+            def select(self, url, query, timeout):
+                if query.startswith("SELECT DISTINCT"):
+                    return SparqlResult(rows=[{"class": "http://example.org/Person"},
+                                              {"k": "http://example.org/Work"}])
+                return inner.select(url, query, timeout)
+
+        cfg = replace(CFG, page_size=2)
+        with pytest.raises(ProtocolError, match=r"^malformed key row \{'k': 'http://exa"):
+            class_counts(SparqlClient(cfg, KeylessPage()))
+        assert inner.queries == [CLASS_COUNT_QUERY]  # no batch for the malformed page
 
 
 # Random graphs over few classes and properties, so keys repeat and their
