@@ -23,13 +23,15 @@ from .diversity import (
 from .fitting import (
     FitResult,
     InsufficientDataError,
+    ModelKind,
     RankedModel,
     asymptote,
     compare_models,
+    eval_model,
     fit_model,
     fit_power_law,
+    model_gradient,
 )
-from .models import ModelKind, eval_model, model_gradient
 from .text import LexicalReport, lexical_report, pearson_r, tokenize
 
 __version__ = "0.1.0"

@@ -156,7 +156,7 @@ def _curve_stem(path: str) -> str:
     return os.path.basename(path).rsplit(".", 1)[0]
 
 
-def _run_lexdiv(args, transport) -> int:
+def _run_lexdiv(args, transport) -> None:
     checkpoints = every(args.every)
     order = _check_order(args.order)  # checked here so its error names no document
     if args.curves:  # before any document is read
@@ -204,10 +204,9 @@ def _run_lexdiv(args, transport) -> int:
         summary = "undefined" if pearson is None else _fmt4(pearson)
         lines.append(f"# pearson_R,{summary}")
         _write_output("\n".join(lines) + "\n", args.output)
-    return EXIT_OK
 
 
-def _run_fit(args, transport) -> int:
+def _run_fit(args, transport) -> None:
     curve = AccumulationCurve.from_csv(args.curve)
     kind = ModelKind(args.model)
     if kind is ModelKind.POWER_LAW:
@@ -226,10 +225,9 @@ def _run_fit(args, transport) -> int:
             for rm in ranking
         ]
     _write_output(json.dumps(payload, indent=2) + "\n", args.output)
-    return EXIT_OK
 
 
-def _run_marc(args, transport) -> int:
+def _run_marc(args, transport) -> None:
     stream = parse_records(args.files, extended_subjects=args.extended_subjects)
     series = facet_series(stream, args.facet, args.order)
     lines = ["year,cum_richness,cum_diversity"]
@@ -244,10 +242,9 @@ def _run_marc(args, transport) -> int:
         "split_headings": stream.split_headings,
     }
     sys.stderr.write(json.dumps(quality) + "\n")
-    return EXIT_OK
 
 
-def _run_lod(args, transport) -> int:
+def _run_lod(args, transport) -> None:
     roster = load_roster(args.roster)
     if args.endpoint is not None:
         roster = [cfg for cfg in roster if cfg.name == args.endpoint]
@@ -267,7 +264,6 @@ def _run_lod(args, transport) -> int:
     else:
         payload = [_profile_fields(p) for p in profiles]
         _write_output(json.dumps(payload, indent=2) + "\n", args.output)
-    return EXIT_OK
 
 
 def main(argv=None, transport: SparqlTransport | None = None) -> int:
@@ -280,13 +276,14 @@ def main(argv=None, transport: SparqlTransport | None = None) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     try:
-        return args.func(args, transport)
+        args.func(args, transport)
     except HarvestError as exc:
         sys.stderr.write(f"transport error: {exc}\n")
         return EXIT_TRANSPORT
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT
+    return EXIT_OK
 
 
 def console_main() -> None:

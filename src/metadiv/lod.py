@@ -131,7 +131,11 @@ class ProtocolError(HarvestError):
 
 @dataclass(frozen=True)
 class EndpointConfig:
-    """Connection settings for one SPARQL endpoint."""
+    """Connection settings for one SPARQL endpoint.
+
+    ``page_size`` must not exceed the endpoint's own row cap, or a capped
+    direct answer or enumeration page looks complete.
+    """
 
     name: str
     url: str

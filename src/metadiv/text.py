@@ -9,10 +9,9 @@ the diversity growth, so texts of different lengths can be compared.
 from __future__ import annotations
 
 import re
+import statistics
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-
-import numpy as np
 
 from .accumulation import AccumulationCurve, every, growth_curves
 from .accumulation import diversity_growth, vocabulary_growth  # noqa: F401  perfbench/spans.py wraps them here
@@ -118,18 +117,9 @@ def lexical_report(
 
 
 def pearson_r(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Pearson correlation coefficient of two equally long sequences."""
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("sequences must be one-dimensional and equally long")
-    if x.size < 2:
-        raise ValueError("correlation needs at least 2 observations")
-    xd = x - x.mean()
-    yd = y - y.mean()
-    sx = float(np.sqrt(np.sum(xd**2)))
-    sy = float(np.sqrt(np.sum(yd**2)))
-    if sx == 0.0 or sy == 0.0:
-        raise ValueError("correlation is undefined for a constant sequence")
-    r = float(np.sum(xd * yd) / (sx * sy))
-    return max(-1.0, min(1.0, r))
+    """Pearson correlation coefficient of two equally long sequences.
+
+    Raises ``ValueError`` for unequal lengths, n < 2 or a constant sequence.
+    """
+    r = statistics.correlation(xs, ys)
+    return max(-1.0, min(1.0, r))  # rounding can carry |r| past 1

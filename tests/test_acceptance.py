@@ -21,9 +21,9 @@ from metadiv.diversity import (
     richness,
     shannon_entropy,
 )
-from metadiv.fitting import asymptote, compare_models, fit_model, fit_power_law
+from metadiv.fitting import (ModelKind, compare_models, eval_model, fit_model, fit_power_law,
+                             model_gradient)
 from metadiv.marc import MarcView, facet_series, parse_records, split_heading
-from metadiv.models import ModelKind, eval_model, model_gradient
 from metadiv.lod import (
     CLASS_COUNT_QUERY,
     SAMEAS_HOST_QUERY,

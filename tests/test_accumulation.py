@@ -236,8 +236,10 @@ class TestGrowthKernel:
 
 class TestCurveContainer:
     def test_positions_must_increase(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^checkpoint positions must be strictly increasing$"):
             AccumulationCurve(points=((2, 1.0), (2, 2.0)))
+        with pytest.raises(ValueError, match="^checkpoint positions must be >= 1$"):
+            AccumulationCurve(points=((0, 1.0),))
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_values_must_be_finite(self, bad):

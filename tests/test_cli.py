@@ -15,10 +15,11 @@ import numpy as np
 import pytest
 
 from metadiv import cli, lod
-from metadiv.accumulation import AccumulationCurve
+from metadiv.accumulation import AccumulationCurve, every
 from metadiv.diversity import FrequencyDistribution, hill_diversity, richness
-from metadiv.fitting import compare_models, fit_model, fit_power_law
-from metadiv.models import FORMS, ModelKind, eval_model
+from metadiv.fitting import FORMS, ModelKind, compare_models, eval_model, fit_model, fit_power_law
+from metadiv.synthetic import zipf_corpus
+from metadiv.text import lexical_report, tokenize
 
 from .conftest import (PEOPLE_GRAPH, FlakyTransport, GraphTransport, NegatedCounts, marc_collection,
                        marc_record)
@@ -180,6 +181,22 @@ class TestLexdiv:
         assert payload["types"] == 3
         assert set(payload["power_law"]) == {"C", "alpha"}
         assert set(payload["m4"]) == {"D", "c", "alpha"}
+
+    def test_json_ranking(self, tmp_path, monkeypatch, capsys):
+        # The goldens are shorter than the training limit and print no
+        # ranking.  Built in-process, as in TestFit::test_stdout_bytes.
+        monkeypatch.chdir(tmp_path)
+        text = " ".join(zipf_corpus(3000, 500, seed=7))
+        Path("zipf.txt").write_text(text, encoding="utf-8")
+        code, out, err = run_twice(["lexdiv", "zipf.txt", "--every", "20", "--train", "1500",
+                                    "--format", "json"], capsys)
+        assert (code, err) == (cli.EXIT_OK, "")
+        report = lexical_report(tokenize(text), "zipf.txt", 1.0, every(20), 1500)
+        expected = [{"model": rm.kind.value, "holdout_rmse": round(rm.holdout_rmse, 6)}
+                    for rm in report.ranking]
+        assert sorted(entry["model"] for entry in expected) == ["m1", "m2", "m3", "m4"]
+        [document] = json.loads(out)["documents"]
+        assert document["ranking"] == expected
 
     def test_output_file(self, corpus_dir, capsys):
         code = cli.main(["lexdiv", "alpha.txt", "--every", "20", "--output", "report.csv"])
@@ -436,6 +453,12 @@ class TestLod:
             "FIX,1.8899,2,0.94,1.0000,1,1.00\n"
         )
         check_golden("lod_profile.csv", out)
+
+    def test_csv_empty_graph(self, fixture_roster, capsys):
+        code, out, _ = run_twice(["lod", "--roster", fixture_roster, "--format", "csv"], capsys,
+                                 transport=GraphTransport([]))
+        assert code == cli.EXIT_OK
+        assert out.splitlines()[1:] == ["FIX,0.0000,0,0.00,0.0000,0,0.00"]
 
     def test_csv_host_quoted_when_needed(self, tmp_path, capsys):
         roster = tmp_path / "roster.json"

@@ -8,14 +8,18 @@ import pytest
 from metadiv import fitting
 from metadiv.accumulation import AccumulationCurve
 from metadiv.fitting import (
+    FORMS,
+    SATURATING,
     InsufficientDataError,
+    ModelKind,
     _initial_params,
     asymptote,
     compare_models,
+    eval_model,
     fit_model,
     fit_power_law,
+    model_gradient,
 )
-from metadiv.models import FORMS, SATURATING, ModelKind, eval_model, model_gradient
 
 LOG_GRID = np.unique(np.round(np.geomspace(1, 1e5, 50)).astype(int))
 

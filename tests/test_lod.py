@@ -272,6 +272,15 @@ class TestSameasHostCounts:
         dist = sameas_host_counts(SparqlClient(CFG, GraphTransport(PEOPLE_GRAPH)))
         assert dist.counts == {}
 
+    def test_target_without_host_part_is_dropped(self):
+        # SPARQL's strbefore binds "" for a target with no //host/ part.
+        triples = [("a", "owl:sameAs", "urn:isbn:1"), ("b", "owl:sameAs", "http://viaf.org"),
+                   ("c", "owl:sameAs", "http://viaf.org/x")]
+        rows = GraphTransport(triples).select(CFG.url, SAMEAS_HOST_QUERY, CFG.timeout).rows
+        assert {"hostname": "", "count": "2"} in rows
+        dist = sameas_host_counts(SparqlClient(CFG, GraphTransport(triples)))
+        assert dist.counts == {"viaf.org": 1}
+
 
 class TestClientBehavior:
     def test_retries_then_succeeds(self):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from metadiv.models import FORMS, SATURATING, ModelKind, eval_model, model_gradient
+from metadiv.fitting import FORMS, SATURATING, ModelKind, eval_model, model_gradient
 
 N_GRID = np.array([0.0, 1.0, 10.0, 500.0, 10_000.0, 1e6])
 
