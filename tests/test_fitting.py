@@ -119,6 +119,44 @@ class TestSaturatingFit:
         assert (fit.iterations, fit.stop_reason) == (1, "max-iter")
         assert fit.residual >= 0.0
 
+    def test_no_damping_reduces_the_cost(self, monkeypatch):
+        """Every trial step raises the cost: the fit stops at its cold start."""
+        kind = ModelKind.M2
+        form = FORMS[kind].form
+        calls = []
+
+        def rising(p, n):  # the cold start's value, then a worse one for every trial
+            value, jacobian = form(p, n)
+            calls.append(p)
+            return (value + 1e9 if len(calls) > 1 else value), jacobian
+
+        curve = synthetic_curve(kind, (50.0, 1000.0))
+        monkeypatch.setitem(FORMS, kind, FORMS[kind]._replace(form=rising))
+        fit = fit_model(curve, kind)
+        assert (fit.iterations, fit.stop_reason, fit.converged) == (1, "damping-exhausted", False)
+        start = np.maximum(_initial_params(kind, curve.ns, curve.values), FORMS[kind].floors)
+        assert list(fit.params.values()) == start.tolist()
+        assert len(calls) == 1 + 16  # lam = 1e-3, 1e-2, ..., 1e12
+
+    def test_singular_solve_is_retried_with_more_damping(self, monkeypatch):
+        solve = np.linalg.solve
+        calls = []
+
+        def singular_once(a, b):
+            calls.append(a)
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", singular_once)
+        fit = fit_model(synthetic_curve(ModelKind.M2, (50.0, 1000.0)), ModelKind.M2)
+        # The retry adds ten times the damping of the failed solve to the diagonal.
+        first, retry = calls[0], calls[1]
+        assert np.all(np.diag(retry) > np.diag(first))
+        assert fit.converged is True
+        assert fit.params["D"] == pytest.approx(50.0, rel=1e-6)
+        assert fit.params["c"] == pytest.approx(1000.0, rel=1e-6)
+
 
 def _reference_fit(curve: AccumulationCurve, kind: ModelKind):
     """The damped Gauss-Newton loop on the public ``eval_model`` and
