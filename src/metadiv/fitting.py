@@ -314,11 +314,9 @@ def fit_model(curve: AccumulationCurve, kind: ModelKind) -> FitResult:
     r = np.subtract(v, value, out=value)
     cost = float(r @ r)
     lam = 1e-3
-    iterations = 0
     stop_reason = "max-iter"
 
-    while iterations < MAX_ITER:
-        iterations += 1
+    for iterations in range(1, MAX_ITER + 1):
         # ``jacobian`` is the closure of the value at p; every n of a curve
         # is >= 1, so it takes its logarithms unmasked.
         jacobian(jac, None)
@@ -326,12 +324,10 @@ def fit_model(curve: AccumulationCurve, kind: ModelKind) -> FitResult:
         hess = jac.T @ jac
         scale = np.diag(hess).copy()
         scale[scale <= 0] = 1e-12
-        damping = np.diag(scale)
 
-        accepted = False
         while lam <= 1e12:
             try:
-                step = np.linalg.solve(hess + lam * damping, grad)
+                step = np.linalg.solve(hess + np.diag(lam * scale), grad)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
@@ -343,10 +339,9 @@ def fit_model(curve: AccumulationCurve, kind: ModelKind) -> FitResult:
             r_new = np.subtract(v, value, out=value)
             cost_new = float(r_new @ r_new)
             if cost_new <= cost:
-                accepted = True
                 break
             lam *= 10.0
-        if not accepted:
+        else:
             stop_reason = "damping-exhausted"
             break
 
