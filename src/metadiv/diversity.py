@@ -29,6 +29,11 @@ __all__ = [
 # Orders closer to 1 than this are evaluated through the entropy limit
 # exp(H) instead of the general formula, whose exponent 1/(1-k) diverges.
 ORDER_ONE_EPS = 1e-9
+# Nearer 1 than this the direct form loses digits to the cancellation in
+# sum p**k ~ 1, amplified by 1/(1-k), so log D is taken as
+# log1p(sum p * expm1((k-1) ln p)) / (1-k).  Against a 60-digit oracle the
+# direct form is within 2e-15 relative from |k-1| = 0.1 on, but 2e-13 at 1e-3.
+ORDER_ONE_NEAR = 0.1
 
 
 @dataclass(frozen=True)
@@ -97,12 +102,16 @@ def hill_from_probabilities(p: np.ndarray, order: float, *, out: np.ndarray | No
     """Hill diversity of a probability vector (all entries strictly positive).
 
     ``order`` must already have passed ``_check_order``.  ``out``, shaped
-    like ``p``, takes the order-1 terms p log p instead of a new array.
+    like ``p``, takes the terms of the sum at or near order 1 instead of a new array.
     """
     if p.size == 0:
         raise ValueError("diversity of an empty distribution is undefined")
     if abs(order - 1.0) < ORDER_ONE_EPS:
         return float(np.exp(_entropy_from_probabilities(p, out)))
+    if abs(order - 1.0) < ORDER_ONE_NEAR:
+        terms = np.log(p, out=out)
+        np.expm1(np.multiply(terms, order - 1.0, out=terms), out=terms)
+        return float(np.exp(np.log1p(np.multiply(p, terms, out=terms).sum()) / (1.0 - order)))
     total = np.sum(p**order)
     if total < np.finfo(float).tiny:  # p**k underflowed: log D = logsumexp(k ln p) / (1 - k)
         logs = order * np.log(p)

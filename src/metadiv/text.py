@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from .accumulation import AccumulationCurve, every, growth_curves
 from .accumulation import diversity_growth, vocabulary_growth  # noqa: F401  perfbench/spans.py wraps them here
-from .diversity import _check_order
 from .fitting import (FitResult, InsufficientDataError, ModelKind, RankedModel, compare_models,
                       fit_model, fit_power_law)
 
@@ -90,7 +89,6 @@ def lexical_report(
     ranking is ``None`` when ``compare_models`` has too few points on
     either side of the limit.
     """
-    order = _check_order(order)
     vocab, div = growth_curves(tokens, checkpoints, order)
     if not vocab.points:
         raise ValueError("document contains no tokens")
@@ -106,7 +104,7 @@ def lexical_report(
         source_id=source_id,
         n_tokens=vocab.points[-1][0],
         n_types=int(vocab.points[-1][1]),
-        order=order,
+        order=float(order),
         observed_diversity=div.points[-1][1],
         power_law=power,
         saturating=m4,

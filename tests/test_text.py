@@ -92,6 +92,19 @@ class TestLexicalReport:
             with pytest.raises(ValueError, match="^document contains no tokens$"):
                 lexical_report(tokens, "empty")
 
+    @pytest.mark.parametrize("order", [-1.0, float("nan")])
+    def test_bad_order_rejected_before_a_token_is_read(self, order):
+        def tokens():
+            raise AssertionError("a token was read")
+            yield "never"
+
+        with pytest.raises(ValueError, match="^diversity order must be finite and >= 0"):
+            lexical_report(tokens(), "bad", order=order)
+
+    def test_order_is_reported_as_float(self):
+        report = lexical_report(("lorem",) * 1000, "int", order=2, checkpoints=every(50))
+        assert type(report.order) is float and report.order == 2.0
+
     def test_any_iterable_of_tokens(self):
         tokens = zipf_corpus(2_000, 80, seed=5)
         checkpoints = every(10)
