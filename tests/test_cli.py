@@ -4,11 +4,16 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import io
 import json
 import os
 import subprocess
 import sys
+import threading
+import time
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -426,6 +431,55 @@ class TestMarc:
         capsys.readouterr()
 
 
+A_URL, B_URL, C_URL = (f"http://{name}.invalid/sparql" for name in "abc")
+THREE_GRAPHS = {
+    A_URL: PEOPLE_GRAPH,
+    B_URL: PEOPLE_GRAPH + [("w", "rdf:type", "http://example.org/Place"),
+                           ("x", "owl:sameAs", "http://viaf.org/viaf/1")],
+    C_URL: PEOPLE_GRAPH + [("v", "ex:name", "Vera")],
+}
+
+
+@pytest.fixture()
+def three_roster(tmp_path, monkeypatch):
+    """Endpoints A, B and C; C is asked for pages of one key."""
+    roster = tmp_path / "three.json"
+    roster.write_text(json.dumps([{"name": "A", "url": A_URL}, {"name": "B", "url": B_URL},
+                                  {"name": "C", "url": C_URL, "page_size": 1}]))
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    return str(roster)
+
+
+class ByUrl:
+    """Answers each URL of ``three_roster`` from its own ``GraphTransport``.
+
+    C caps its answers at one row, so C's harvests run enumeration pages
+    and VALUES batches.  ``before(url)`` runs ahead of every request, and
+    ``most_in_flight`` keeps, per URL, the most requests open at once.
+    """
+
+    def __init__(self, before=None) -> None:
+        self.routes = {url: GraphTransport(graph, row_cap=1 if url == C_URL else None)
+                       for url, graph in THREE_GRAPHS.items()}
+        self.before = before
+        self.most_in_flight: Counter[str] = Counter()
+        self._in_flight: Counter[str] = Counter()
+        self._lock = threading.Lock()
+
+    def select(self, url, query, timeout):
+        if self.before is not None:
+            self.before(url)
+        with self._lock:
+            self._in_flight[url] += 1
+            self.most_in_flight[url] = max(self.most_in_flight[url], self._in_flight[url])
+        try:
+            time.sleep(0.001)  # keeps the request open long enough for an overlap to show
+            return self.routes[url].select(url, query, timeout)
+        finally:
+            with self._lock:
+                self._in_flight[url] -= 1
+
+
 class TestLod:
     def test_json_golden(self, fixture_roster, capsys):
         transport = GraphTransport(
@@ -575,6 +629,106 @@ class TestLod:
         assert code == cli.EXIT_TRANSPORT
         assert transport.attempts == lod.MAX_ATTEMPTS
         assert "transport error" in capsys.readouterr().err
+
+
+    def test_endpoints_are_harvested_at_once(self, three_roster, capsys):
+        # A's first request waits until B has sent one: a roster harvested
+        # one endpoint after another fails here instead of hanging
+        b_asked = threading.Event()
+
+        def before(url):
+            if url == B_URL:
+                b_asked.set()
+            elif url == A_URL and not b_asked.wait(timeout=5):
+                raise AssertionError("B sent no request while A was harvested")
+
+        assert cli.main(["lod", "--roster", three_roster], transport=ByUrl(before)) == cli.EXIT_OK
+        capsys.readouterr()
+
+    def test_one_request_in_flight_per_endpoint(self, three_roster, capsys):
+        transport = ByUrl()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads switch as often as they can
+        try:
+            code = cli.main(["lod", "--roster", three_roster], transport=transport)
+        finally:
+            sys.setswitchinterval(interval)
+        assert code == cli.EXIT_OK
+        capsys.readouterr()
+        assert transport.most_in_flight == {A_URL: 1, B_URL: 1, C_URL: 1}
+        # every endpoint is sent what it is sent alone, in the same order
+        for cfg in lod.load_roster(three_roster):
+            alone = ByUrl()
+            lod.profile(lod.SparqlClient(cfg, alone))
+            assert transport.routes[cfg.url].queries == alone.routes[cfg.url].queries
+        assert len(transport.routes[C_URL].queries) > 3  # pages and batches as well
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_roster_order_when_the_first_endpoint_answers_last(self, three_roster, capsys,
+                                                               monkeypatch, fmt):
+        finished = []
+        rest_done = threading.Event()
+
+        def profile(client):  # A's harvest starts once B's and C's are done
+            if client.cfg.name == "A" and not rest_done.wait(timeout=5):
+                raise AssertionError("B and C did not finish")
+            prof = lod.profile(client)
+            finished.append(client.cfg.name)
+            if {"B", "C"} <= set(finished):
+                rest_done.set()
+            return prof
+
+        argv = ["lod", "--roster", three_roster, "--format", fmt]
+        with monkeypatch.context() as m:
+            m.setattr(cli, "profile", profile)
+            assert cli.main(argv, transport=ByUrl()) == cli.EXIT_OK
+        out = capsys.readouterr().out
+        assert finished[-1] == "A"
+        alone = []
+        for name in "ABC":
+            assert cli.main(argv + ["--endpoint", name], transport=ByUrl()) == cli.EXIT_OK
+            alone.append(capsys.readouterr().out)
+        if fmt == "json":
+            rebuilt = json.dumps([p for text in alone for p in json.loads(text)], indent=2) + "\n"
+        else:
+            rebuilt = alone[0] + "".join(text.split("\n", 1)[1] for text in alone[1:])
+        assert out == rebuilt
+
+    def test_first_failure_in_roster_order_is_reported(self, three_roster, capsys, monkeypatch):
+        monkeypatch.setattr(lod, "BACKOFF_BASE_SECONDS", 0)
+        transport = ByUrl()
+        for url in (A_URL, B_URL):
+            transport.routes[url] = FlakyTransport(transport.routes[url], failures=99)
+        b_failed = threading.Event()
+
+        def profile(client):  # B has failed before A sends a request
+            if client.cfg.name == "A" and not b_failed.wait(timeout=5):
+                raise AssertionError("B did not fail")
+            try:
+                return lod.profile(client)
+            finally:
+                if client.cfg.name == "B":
+                    b_failed.set()
+
+        monkeypatch.setattr(cli, "profile", profile)
+        code = cli.main(["lod", "--roster", three_roster], transport=transport)
+        out, err = capsys.readouterr()
+        assert (code, out) == (cli.EXIT_TRANSPORT, "")
+        [line] = [line for line in err.splitlines() if line.startswith("transport error:")]
+        assert line.startswith(f"transport error: {A_URL}: giving up after {lod.MAX_ATTEMPTS} ")
+        assert transport.routes[B_URL].attempts == lod.MAX_ATTEMPTS
+
+    def test_no_request_behind_a_failure(self, three_roster, capsys, monkeypatch):
+        monkeypatch.setattr(lod, "BACKOFF_BASE_SECONDS", 0)
+        monkeypatch.setattr(cli, "ThreadPoolExecutor",
+                            functools.partial(ThreadPoolExecutor, max_workers=1))
+        transport = ByUrl()
+        transport.routes[A_URL] = FlakyTransport(transport.routes[A_URL], failures=99)
+        code = cli.main(["lod", "--roster", three_roster], transport=transport)
+        capsys.readouterr()
+        assert code == cli.EXIT_TRANSPORT
+        assert transport.routes[A_URL].attempts == lod.MAX_ATTEMPTS
+        assert transport.routes[B_URL].queries == transport.routes[C_URL].queries == []
 
 
 class TestUsage:
