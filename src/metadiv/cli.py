@@ -18,11 +18,13 @@ import argparse
 import json
 import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 from .accumulation import AccumulationCurve, every
 from .diversity import _check_order
 from .fitting import FitResult, ModelKind, compare_models, fit_model, fit_power_law
-from .lod import HarvestError, LodProfile, SparqlClient, SparqlTransport, load_roster, profile
+from .lod import (EndpointConfig, HarvestError, LodProfile, SparqlClient, SparqlTransport, load_roster,
+                  profile)
 from .marc import FACETS, facet_series, parse_records
 from .text import DEFAULT_TRAIN_LIMIT, LexicalReport, lexical_report, pearson_r, tokenize
 
@@ -250,7 +252,24 @@ def _run_lod(args, transport) -> None:
         roster = [cfg for cfg in roster if cfg.name == args.endpoint]
         if not roster:
             raise ValueError(f"endpoint {args.endpoint!r} is not in the roster")
-    profiles = [profile(SparqlClient(cfg, transport)) for cfg in roster]
+    failed: list[int] = []  # roster indices of the harvests that raised
+
+    def harvest(index: int, cfg: EndpointConfig) -> LodProfile | None:
+        # Executor.map cancels only the endpoints no worker has taken, and a
+        # worker takes the next one as soon as its harvest fails, so one
+        # queued behind a failure stops here.  Its profile is never read.
+        if failed and min(failed) < index:
+            return None
+        try:
+            return profile(SparqlClient(cfg, transport))
+        except Exception:
+            failed.append(index)
+            raise
+
+    # Endpoints are independent servers: each is harvested in its own worker,
+    # while its client keeps its own requests one at a time.
+    with ThreadPoolExecutor() as pool:
+        profiles = list(pool.map(harvest, range(len(roster)), roster))
     if args.format == "csv":
         # the summary table: D, R and D/R of both sides, one row per endpoint
         lines = ["host,class_D,class_R,class_DR,prop_D,prop_R,prop_DR"]

@@ -26,9 +26,6 @@ __all__ = [
     "diversity_richness_ratio",
 ]
 
-# Orders closer to 1 than this are evaluated through the entropy limit
-# exp(H) instead of the general formula, whose exponent 1/(1-k) diverges.
-ORDER_ONE_EPS = 1e-9
 # Nearer 1 than this the direct form loses digits to the cancellation in
 # sum p**k ~ 1, amplified by 1/(1-k), so log D is taken as
 # log1p(sum p * expm1((k-1) ln p)) / (1-k).  Against a 60-digit oracle the
@@ -106,7 +103,7 @@ def hill_from_probabilities(p: np.ndarray, order: float, *, out: np.ndarray | No
     """
     if p.size == 0:
         raise ValueError("diversity of an empty distribution is undefined")
-    if abs(order - 1.0) < ORDER_ONE_EPS:
+    if order == 1.0:  # the limit of the general formula, whose exponent 1/(1-k) diverges
         return float(np.exp(_entropy_from_probabilities(p, out)))
     if abs(order - 1.0) < ORDER_ONE_NEAR:
         terms = np.log(p, out=out)

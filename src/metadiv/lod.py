@@ -7,9 +7,11 @@ grouped query, retrieval falls back to a page loop: each page of distinct
 keys is counted in one VALUES batch before the next page is requested, so a
 harvest holds one page of keys.  Every harvester takes one ``SparqlClient``,
 which holds the endpoint's config and transport; its requests are strictly
-sequential and separated by a politeness delay.  The default transport,
-``HttpTransport``, speaks the SPARQL 1.1 Protocol through the standard
-library's urllib.
+sequential and separated by a politeness delay.  ``metadiv lod`` harvests
+the endpoints of a roster concurrently, each through its own client in a
+pool thread, so no endpoint ever has more than one request in flight.  The
+default transport, ``HttpTransport``, speaks the SPARQL 1.1 Protocol through
+the standard library's urllib.
 """
 
 from __future__ import annotations
@@ -173,6 +175,15 @@ class SparqlResult:
 
 
 class SparqlTransport(Protocol):
+    """Sends one SELECT query to an endpoint URL and returns its rows.
+
+    ``metadiv lod`` shares one injected transport among the endpoints of a
+    roster, so ``select`` may be called from several threads at once, but
+    never twice at once for one endpoint: each ``SparqlClient`` waits for
+    an answer before it sends the next query.  Two roster entries with one
+    URL are two endpoints.
+    """
+
     def select(self, url: str, query: str, timeout: float) -> SparqlResult: ...
 
 

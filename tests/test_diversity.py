@@ -7,11 +7,10 @@ from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metadiv.diversity import (
-    ORDER_ONE_EPS,
     ORDER_ONE_NEAR,
     FrequencyDistribution,
     diversity_richness_ratio,
@@ -269,10 +268,11 @@ class TestHighOrders:
 
 
 class TestNearOrderOne:
-    """Between ORDER_ONE_EPS and ORDER_ONE_NEAR the direct form cancels: on
-    these Zipf classes it misses rel=1e-13 at the first three orders."""
+    """Nearer 1 than ORDER_ONE_NEAR, but not at 1, the direct form cancels: on
+    these Zipf classes it misses rel=1e-13 at 1 + 1e-9, 1 - 1e-8 and 1 + 1e-4."""
 
-    @pytest.mark.parametrize("order", [1 + 1e-9, 1 - 1e-8, 1 + 1e-4, 1 - 0.05, 1 + 0.0999])
+    @pytest.mark.parametrize("order", [1 - 2**-53, 1 + 2**-52, 1 - 9e-10, 1 + 1e-9, 1 - 1e-8,
+                                       1 + 1e-4, 1 - 0.05, 1 + 0.0999])
     def test_zipf_against_oracle(self, order):
         counts = np.random.default_rng(0).zipf(1.3, size=2_000).astype(float)
         p = counts / counts.sum()
@@ -281,11 +281,11 @@ class TestNearOrderOne:
     @settings(max_examples=100, deadline=None)
     @given(
         counts_lists,
-        st.floats(min_value=ORDER_ONE_EPS, max_value=ORDER_ONE_NEAR, exclude_max=True),
+        # 2**-52 is the gap above 1, so 1 +- distance is never 1
+        st.floats(min_value=2**-52, max_value=ORDER_ONE_NEAR, exclude_max=True),
         st.sampled_from([-1.0, 1.0]),
     )
     def test_against_oracle(self, counts, distance, side):
         p = np.array(counts, dtype=float) / sum(counts)
         order = 1.0 + side * distance
-        assume(abs(order - 1.0) >= ORDER_ONE_EPS)  # 1 - 1e-9 rounds nearer to 1
         assert hill_from_probabilities(p, order) == pytest.approx(hill_oracle(p, order), rel=1e-13)
