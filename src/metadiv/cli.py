@@ -23,8 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 from .accumulation import AccumulationCurve, every
 from .diversity import _check_order
 from .fitting import FitResult, ModelKind, compare_models, fit_model, fit_power_law
-from .lod import (EndpointConfig, HarvestError, LodProfile, SparqlClient, SparqlTransport, load_roster,
-                  profile)
+from .lod import HarvestError, LodProfile, SparqlClient, SparqlTransport, load_roster, profile
 from .marc import FACETS, facet_series, parse_records
 from .text import DEFAULT_TRAIN_LIMIT, LexicalReport, lexical_report, pearson_r, tokenize
 
@@ -38,13 +37,9 @@ EXIT_USAGE = 64
 LEXDIV_CSV_HEADER = "source,tokens,types,observed_D,extrapolated_D,C,alpha"
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); we want 64
-        raise UsageError(message)
+        self.exit(EXIT_USAGE, f"usage error: {message}\n")
 
 
 def build_parser() -> _Parser:
@@ -252,24 +247,26 @@ def _run_lod(args, transport) -> None:
         roster = [cfg for cfg in roster if cfg.name == args.endpoint]
         if not roster:
             raise ValueError(f"endpoint {args.endpoint!r} is not in the roster")
-    failed: list[int] = []  # roster indices of the harvests that raised
+    clients = [SparqlClient(cfg, transport) for cfg in roster]
 
-    def harvest(index: int, cfg: EndpointConfig) -> LodProfile | None:
-        # Executor.map cancels only the endpoints no worker has taken, and a
-        # worker takes the next one as soon as its harvest fails, so one
-        # queued behind a failure stops here.  Its profile is never read.
-        if failed and min(failed) < index:
-            return None
+    def harvest(index: int) -> LodProfile:
+        # Once a harvest fails, no later endpoint's profile or error is read.
         try:
-            return profile(SparqlClient(cfg, transport))
+            return profile(clients[index])
         except Exception:
-            failed.append(index)
+            for client in clients[index + 1:]:
+                client.stopped = True
             raise
 
     # Endpoints are independent servers: each is harvested in its own worker,
     # while its client keeps its own requests one at a time.
     with ThreadPoolExecutor() as pool:
-        profiles = list(pool.map(harvest, range(len(roster)), roster))
+        try:
+            profiles = list(pool.map(harvest, range(len(clients))))
+        except BaseException:  # an interrupt, or the first failure in roster order
+            for client in clients:
+                client.stopped = True
+            raise
     if args.format == "csv":
         # the summary table: D, R and D/R of both sides, one row per endpoint
         lines = ["host,class_D,class_R,class_DR,prop_D,prop_R,prop_DR"]
@@ -289,10 +286,7 @@ def main(argv=None, transport: SparqlTransport | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except UsageError as exc:
-        sys.stderr.write(f"usage error: {exc}\n")
-        return EXIT_USAGE
-    except SystemExit as exc:  # --help
+    except SystemExit as exc:  # --help or a usage error
         return int(exc.code or 0)
     try:
         args.func(args, transport)

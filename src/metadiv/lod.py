@@ -243,7 +243,9 @@ class SparqlClient:
     """Sequential, rate-limited query runner for one endpoint.
 
     Retries retryable failures up to MAX_ATTEMPTS with exponential backoff
-    and sleeps the politeness delay between consecutive requests.
+    and sleeps the politeness delay between consecutive requests.  Once
+    ``stopped`` is set, ``select`` raises ``HarvestError`` and sends nothing;
+    a request in flight, and a politeness or backoff sleep begun, finish first.
     """
 
     def __init__(
@@ -256,6 +258,7 @@ class SparqlClient:
         self.transport = transport if transport is not None else HttpTransport()
         self._sleep = sleep
         self._requests_sent = 0
+        self.stopped = False
 
     def select(self, query: str) -> SparqlResult:
         last_error: HarvestError | None = None
@@ -264,6 +267,8 @@ class SparqlClient:
                 self._sleep(self.cfg.delay_ms / 1000.0)
             if attempt > 0:
                 self._sleep(BACKOFF_BASE_SECONDS * 2 ** (attempt - 1))
+            if self.stopped:
+                raise HarvestError(f"{self.cfg.url}: harvest stopped")
             self._requests_sent += 1
             try:
                 return self.transport.select(self.cfg.url, query, self.cfg.timeout)

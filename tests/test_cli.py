@@ -480,6 +480,20 @@ class ByUrl:
                 self._in_flight[url] -= 1
 
 
+def watch_stops(monkeypatch) -> dict[str, threading.Event]:
+    """Patches ``cli.SparqlClient`` so that stopping a client sets its URL's event."""
+    stopped = {url: threading.Event() for url in THREE_GRAPHS}
+
+    class Client(lod.SparqlClient):
+        def __setattr__(self, name, value):
+            super().__setattr__(name, value)
+            if name == "stopped" and value:
+                stopped[self.cfg.url].set()
+
+    monkeypatch.setattr(cli, "SparqlClient", Client)
+    return stopped
+
+
 class TestLod:
     def test_json_golden(self, fixture_roster, capsys):
         transport = GraphTransport(
@@ -730,6 +744,53 @@ class TestLod:
         assert transport.routes[A_URL].attempts == lod.MAX_ATTEMPTS
         assert transport.routes[B_URL].queries == transport.routes[C_URL].queries == []
 
+    def test_later_endpoints_stop_after_a_failure(self, three_roster, capsys, monkeypatch):
+        # B fails while A and C are harvesting.  C's first request, and A's, are
+        # answered only once C's client is stopped: C must send nothing after
+        # it, and A, before the failure in roster order, harvests to its end
+        monkeypatch.setattr(lod, "BACKOFF_BASE_SECONDS", 0)
+        stopped = watch_stops(monkeypatch)
+        c_asked = threading.Event()
+
+        def before(url):
+            if url == B_URL:
+                c_asked.wait(timeout=5)
+            elif url == A_URL:
+                stopped[C_URL].wait(timeout=5)
+            elif not c_asked.is_set():
+                c_asked.set()
+                stopped[C_URL].wait(timeout=5)
+
+        transport = ByUrl(before)
+        transport.routes[B_URL] = FlakyTransport(transport.routes[B_URL], failures=99)
+        code = cli.main(["lod", "--roster", three_roster], transport=transport)
+        out, err = capsys.readouterr()
+        assert (code, out) == (cli.EXIT_TRANSPORT, "")
+        [line] = [line for line in err.splitlines() if line.startswith("transport error:")]
+        assert line.startswith(f"transport error: {B_URL}: giving up after {lod.MAX_ATTEMPTS} ")
+        assert len(transport.routes[A_URL].queries) == 3
+        assert len(transport.routes[C_URL].queries) == 1
+
+    def test_interrupt_stops_every_endpoint(self, three_roster, capsys, monkeypatch):
+        # A's worker is interrupted while B's first request is open, and that
+        # request is answered only once B's client is stopped
+        stopped = watch_stops(monkeypatch)
+        b_asked = threading.Event()
+
+        def before(url):
+            if url == A_URL:
+                b_asked.wait(timeout=5)
+                raise KeyboardInterrupt
+            if url == B_URL and not b_asked.is_set():
+                b_asked.set()
+                stopped[B_URL].wait(timeout=5)
+
+        transport = ByUrl(before)
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(["lod", "--roster", three_roster], transport=transport)
+        capsys.readouterr()
+        assert len(transport.routes[B_URL].queries) == 1
+
 
 class TestUsage:
     def test_unknown_flag(self, capsys):
@@ -799,10 +860,21 @@ def golden_outputs() -> dict[str, str]:
     return outputs
 
 
+def cpu_features() -> dict[str, bool]:
+    """numpy's CPU feature flags in this process, after any switch."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    return dict(__cpu_features__)
+
+
 # Each switch makes one child process use the kernels a CPU without AVX-512
 # would get.  On such a CPU, or with another BLAS or numpy, it changes
 # nothing and the test still holds.  ``fit`` and ``lexdiv --format json`` print
-# digits that these switches move, so they are not checked here.
+# digits that these switches move, so they are not checked here.  The child
+# reads numpy's switched features back; the OpenBLAS core type cannot be read
+# back without threadpoolctl, so that switch is taken on trust.
 KERNEL_SWITCHES = {
     "openblas-haswell": {"OPENBLAS_CORETYPE": "Haswell"},
     "numpy-avx2": {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
@@ -813,11 +885,16 @@ KERNEL_SWITCHES = {
 def test_goldens_hold_under_kernel_switch(tmp_path, switch):
     env = {**os.environ, **switch, "SOURCE_DATE_EPOCH": "1700000000",
            "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT)])}
-    code = "import json, tests.test_cli as t; print(json.dumps(t.golden_outputs()))"
+    code = ("import json, tests.test_cli as t; "
+            "print(json.dumps([t.golden_outputs(), t.cpu_features()]))")
     done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    outputs = json.loads(done.stdout)
+    outputs, features = json.loads(done.stdout)
+    # a name this CPU has must read False under the switch, or numpy ignored it
+    disabled = [name for name in switch.get("NPY_DISABLE_CPU_FEATURES", "").split()
+                if cpu_features().get(name)]
+    assert {name: features.get(name) for name in disabled} == dict.fromkeys(disabled, False)
     assert set(outputs) == {"lexdiv.csv", "lod_profile.csv", "lod_profile.json",
                             "marc_authors.csv", "marc_subdivisions.csv", "marc_subjects.csv"}
     for name, produced in outputs.items():
