@@ -104,6 +104,8 @@ class AccumulationCurve:
                 if n <= last:
                     raise ValueError(f"n {n} is below 1" if n < 1 else
                                      f"n {n} does not exceed the previous n {last}")
+                if n > sys.float_info.max:  # ``ns`` holds it as a float
+                    raise ValueError(f"n {n} is past float range")
                 value = float(r[1])
                 if not math.isfinite(value):
                     raise ValueError(f"value {r[1]!r} is not finite")
@@ -156,7 +158,7 @@ def growth_curves(events: Iterable[str], checkpoints: Iterable[int],
     order = _check_order(order)
     ids: defaultdict[str, int] = defaultdict(count().__next__)  # a new label gets the next id
     stream = iter(events)
-    counts = probs = terms = np.zeros(0)  # probs and terms: reused by each Hill sum
+    counts = np.zeros(0)
     types, hills = [], []  # (n, value) rows
     positions = iter(checkpoints)
     target = _next_checkpoint(positions, 0)
@@ -168,13 +170,11 @@ def growth_curves(events: Iterable[str], checkpoints: Iterable[int],
         r = len(ids)
         if r > counts.size:
             counts = np.concatenate((counts, np.zeros(r)))
-            probs, terms = np.empty_like(counts), np.empty_like(counts)
         np.add.at(counts, np.array(chunk, dtype=np.intp), 1.0)
         ended = n < stop
         if n == target or (ended and n > 0 and (not types or types[-1][0] != n)):
             types.append((n, float(r)))
-            p = np.divide(counts[:r], n, out=probs[:r])
-            hills.append((n, hill_from_probabilities(p, order, out=terms[:r])))
+            hills.append((n, hill_from_probabilities(counts[:r] / n, order)))
             target = _next_checkpoint(positions, target)
         if ended:
             return AccumulationCurve(tuple(types), "type-count"), AccumulationCurve(tuple(hills))

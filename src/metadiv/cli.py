@@ -156,6 +156,8 @@ def _curve_stem(path: str) -> str:
 def _run_lexdiv(args, transport) -> None:
     checkpoints = every(args.every)
     order = _check_order(args.order)  # checked here so its error names no document
+    if abs(args.train) > sys.float_info.max:  # the holdout split compares it with float n
+        raise ValueError(f"--train {args.train} is past float range")
     if args.curves:  # before any document is read
         stems: dict[str, str] = {}  # file stem -> the first document with it
         for path in args.files:
@@ -204,6 +206,8 @@ def _run_lexdiv(args, transport) -> None:
 
 
 def _run_fit(args, transport) -> None:
+    if args.train is not None and abs(args.train) > sys.float_info.max:
+        raise ValueError(f"--train {args.train} is past float range")
     curve = AccumulationCurve.from_csv(args.curve)
     kind = ModelKind(args.model)
     if kind is ModelKind.POWER_LAW:

@@ -91,24 +91,22 @@ def _check_order(order: float) -> float:
     return order
 
 
-def _entropy_from_probabilities(p: np.ndarray, out: np.ndarray | None = None) -> float:
-    return float(-np.multiply(p, np.log(p, out=out), out=out).sum())
+def _entropy_from_probabilities(p: np.ndarray) -> float:
+    return float(-(p * np.log(p)).sum())
 
 
-def hill_from_probabilities(p: np.ndarray, order: float, *, out: np.ndarray | None = None) -> float:
+def hill_from_probabilities(p: np.ndarray, order: float) -> float:
     """Hill diversity of a probability vector (all entries strictly positive).
 
-    ``order`` must already have passed ``_check_order``.  ``out``, shaped
-    like ``p``, takes the terms of the sum at or near order 1 instead of a new array.
+    ``order`` must already have passed ``_check_order``.
     """
     if p.size == 0:
         raise ValueError("diversity of an empty distribution is undefined")
     if order == 1.0:  # the limit of the general formula, whose exponent 1/(1-k) diverges
-        return float(np.exp(_entropy_from_probabilities(p, out)))
+        return float(np.exp(_entropy_from_probabilities(p)))
     if abs(order - 1.0) < ORDER_ONE_NEAR:
-        terms = np.log(p, out=out)
-        np.expm1(np.multiply(terms, order - 1.0, out=terms), out=terms)
-        return float(np.exp(np.log1p(np.multiply(p, terms, out=terms).sum()) / (1.0 - order)))
+        terms = np.expm1(np.log(p) * (order - 1.0))
+        return float(np.exp(np.log1p((p * terms).sum()) / (1.0 - order)))
     total = np.sum(p**order)
     if total < np.finfo(float).tiny:  # p**k underflowed: log D = logsumexp(k ln p) / (1 - k)
         logs = order * np.log(p)

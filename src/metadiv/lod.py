@@ -21,6 +21,7 @@ import io
 import json
 import logging
 import os
+import sys
 import time
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
@@ -287,12 +288,15 @@ def _counts_from_rows(
     rows: Iterable[dict[str, str]], key_var: str
 ) -> FrequencyDistribution:
     pairs = []
+    total = 0  # FrequencyDistribution takes the counts and their sum as floats
     for row in rows:
         try:
             key = row[key_var]
             count = int(row["count"])
             if count < 0:
                 raise ValueError("negative count")
+            if (total := total + count) > sys.float_info.max:
+                raise ValueError("the counts add up past float range")
         except (KeyError, ValueError) as exc:
             raise ProtocolError(f"malformed count row {row!r}: {exc}") from exc
         if key == "":

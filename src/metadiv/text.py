@@ -57,19 +57,11 @@ def tokenize(text: str) -> tuple[str, ...]:
 
     Tokens must contain at least one letter (bare numbers and punctuation
     runs are dropped); internal apostrophes and hyphens are preserved.
-    Equal tokens are one ``str`` object.
     """
     words = _TOKEN_RE.findall(text)
     # The letter test and casefold run once per distinct word; a dropped
     # word maps to None (a folded word is never empty).
-    fold: dict[str, str | None] = {}
-    interned: dict[str, str] = {}
-    for word in set(words):
-        if _LETTER_RE.search(word):
-            token = word.casefold()
-            fold[word] = interned.setdefault(token, token)
-        else:
-            fold[word] = None
+    fold = {word: word.casefold() if _LETTER_RE.search(word) else None for word in set(words)}
     return tuple(filter(None, map(fold.__getitem__, words)))
 
 

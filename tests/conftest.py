@@ -187,18 +187,23 @@ class FlakyTransport:
         return self.inner.select(url, query, timeout)
 
 
-class NegatedCounts:
-    """Answers ``query`` with every count negated; other queries unchanged."""
+def negated(count: str) -> str:
+    return f"-{count}"
 
-    def __init__(self, inner, query: str) -> None:
+
+class RewrittenCounts:
+    """Answers ``query`` with ``rewrite`` applied to every count; other queries unchanged."""
+
+    def __init__(self, inner, query: str, rewrite=negated) -> None:
         self.inner = inner
         self.query = query
+        self.rewrite = rewrite
 
     def select(self, url: str, query: str, timeout: float) -> SparqlResult:
         result = self.inner.select(url, query, timeout)
         if query != self.query:
             return result
-        rows = [{**row, "count": f"-{row['count']}"} for row in result.rows]
+        rows = [{**row, "count": self.rewrite(row["count"])} for row in result.rows]
         return SparqlResult(rows=rows, truncated=result.truncated)
 
 

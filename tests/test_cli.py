@@ -26,8 +26,8 @@ from metadiv.fitting import FORMS, ModelKind, compare_models, eval_model, fit_mo
 from metadiv.synthetic import zipf_corpus
 from metadiv.text import lexical_report, tokenize
 
-from .conftest import (PEOPLE_GRAPH, FlakyTransport, GraphTransport, NegatedCounts, marc_collection,
-                       marc_record)
+from .conftest import (PEOPLE_GRAPH, FlakyTransport, GraphTransport, RewrittenCounts,
+                       marc_collection, marc_record)
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -173,6 +173,21 @@ class TestLexdiv:
     def test_bad_order_names_no_document(self, corpus_dir, capsys):
         assert cli.main(["lexdiv", "alpha.txt", "--order", "-1"]) == cli.EXIT_INPUT
         assert capsys.readouterr().err.startswith("input error: diversity order")
+
+    @pytest.mark.parametrize("argv", [["lexdiv", "missing.txt"],
+                                      ["fit", "missing.csv", "--model", "m4"]],
+                             ids=["lexdiv", "fit"])
+    @pytest.mark.parametrize("sign", ["", "-"], ids=["positive", "negative"])
+    def test_train_past_float_range_is_checked_first(self, tmp_path, monkeypatch, capsys,
+                                                     argv, sign):
+        # The holdout split compares --train with float positions; the file
+        # does not exist, so the check must come before it is read.
+        monkeypatch.chdir(tmp_path)
+        train = sign + "1" + "0" * 400
+        assert cli.main([*argv, "--train", train]) == cli.EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"input error: --train {train} is past float range\n"
 
     def test_report_dict_shape(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -325,6 +340,15 @@ class TestFit:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("input error: bad.csv, line 3: ") and "'abc'" in err
+
+    def test_n_past_float_range_names_file_and_line(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        n = "1" + "0" * 400
+        (tmp_path / "bad.csv").write_text(f"n,value\n1,1.0\n{n},2.0\n")
+        assert cli.main(["fit", "bad.csv", "--model", "m2"]) == cli.EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"input error: bad.csv, line 3: n {n} is past float range\n"
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("model", ["power", "m2"])
@@ -630,11 +654,24 @@ class TestLod:
                              ids=["class", "property"])
     def test_negative_count_exits_two(self, fixture_roster, capsys, harvest):
         code = cli.main(["lod", "--roster", fixture_roster],
-                        transport=NegatedCounts(GraphTransport(PEOPLE_GRAPH), harvest))
+                        transport=RewrittenCounts(GraphTransport(PEOPLE_GRAPH), harvest))
         assert code == cli.EXIT_TRANSPORT
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("transport error:") and "negative count" in err
+
+    @pytest.mark.parametrize("rewrite", [
+        lambda count: count + "0" * 400,   # one count past float range
+        lambda count: "1" + "0" * 308,     # each count in range, their sum past it
+    ], ids=["count", "sum"])
+    def test_count_past_float_range_exits_two(self, fixture_roster, capsys, rewrite):
+        transport = RewrittenCounts(GraphTransport(PEOPLE_GRAPH), lod.CLASS_COUNT_QUERY, rewrite)
+        code = cli.main(["lod", "--roster", fixture_roster], transport=transport)
+        assert code == cli.EXIT_TRANSPORT
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("transport error:") and "past float range" in err
+        assert "row {'class': 'http://example.org/" in err  # the row is named
 
     def test_transport_failure_exits_two(self, fixture_roster, capsys, monkeypatch):
         monkeypatch.setattr(lod, "BACKOFF_BASE_SECONDS", 0)

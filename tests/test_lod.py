@@ -39,7 +39,7 @@ from metadiv.lod import (
     sameas_host_counts,
 )
 
-from .conftest import PEOPLE_GRAPH, FlakyTransport, GraphTransport, NegatedCounts
+from .conftest import PEOPLE_GRAPH, FlakyTransport, GraphTransport, RewrittenCounts
 
 CFG = EndpointConfig(name="FIX", url="http://fixture.invalid/sparql")
 
@@ -413,7 +413,7 @@ class TestProfile:
 
     def test_partial_when_sameas_counts_negative(self):
         graph = PEOPLE_GRAPH + [("x", "owl:sameAs", "http://viaf.org/viaf/1")]
-        transport = NegatedCounts(GraphTransport(graph), SAMEAS_HOST_QUERY)
+        transport = RewrittenCounts(GraphTransport(graph), SAMEAS_HOST_QUERY)
         prof = profile(SparqlClient(CFG, transport))
         assert prof.complete is False
         assert prof.sameas_hosts.counts == {}

@@ -66,10 +66,10 @@ class TestTokenize:
     def test_equals_per_match_reference(self, text):
         assert tokenize(text) == _per_match_tokens(text)
 
-    def test_equal_tokens_share_one_string(self):
+    def test_case_variants_fold_together(self):
         toks = tokenize("Hola hola HOLA ¡hola! Straße STRASSE strasse " * 50)
         assert len(toks) == 350
-        assert len({id(t) for t in toks}) == len(set(toks)) == 2
+        assert len(set(toks)) == 2
 
     @given(st.text(max_size=400))
     def test_type_count_equals_richness(self, text):
@@ -152,6 +152,8 @@ class TestSyntheticZipf:
         p = zipf_probabilities(5000, 1.0)
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
         assert p[0] == pytest.approx(p[99] * 100.0)
+        with pytest.raises(ValueError, match="at least one type"):
+            zipf_probabilities(0)
 
     def test_corpus_is_reproducible(self):
         a = zipf_corpus(500, 50, 1.0, seed=3)
