@@ -105,6 +105,13 @@ def _write_output(text: str, output: str | None) -> None:
             f.write(text)
 
 
+def _json_text(payload, source: str) -> str:
+    try:  # JSON (RFC 8259) has no NaN or infinity
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from exc
+
+
 def _fit_fields(fit: FitResult) -> dict:
     return {
         "kind": fit.kind.value,
@@ -191,7 +198,7 @@ def _run_lexdiv(args, transport) -> None:
             "documents": [_report_fields(r) for r in reports],
             "pearson_R": None if pearson is None else round(pearson, 4),
         }
-        _write_output(json.dumps(payload, indent=2) + "\n", args.output)
+        _write_output(_json_text(payload, ", ".join(args.files)), args.output)
     else:
         lines = [LEXDIV_CSV_HEADER]
         for r in reports:
@@ -225,7 +232,7 @@ def _run_fit(args, transport) -> None:
             }
             for rm in ranking
         ]
-    _write_output(json.dumps(payload, indent=2) + "\n", args.output)
+    _write_output(_json_text(payload, args.curve), args.output)
 
 
 def _run_marc(args, transport) -> None:

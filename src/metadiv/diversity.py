@@ -108,10 +108,10 @@ def hill_from_probabilities(p: np.ndarray, order: float) -> float:
         terms = np.expm1(np.log(p) * (order - 1.0))
         return float(np.exp(np.log1p((p * terms).sum()) / (1.0 - order)))
     total = np.sum(p**order)
-    if total < np.finfo(float).tiny:  # p**k underflowed: log D = logsumexp(k ln p) / (1 - k)
-        logs = order * np.log(p)
-        top = logs.max()
-        return float(np.exp((top + np.log(np.exp(logs - top).sum())) / (1.0 - order)))
+    if total < np.finfo(float).tiny:  # p**k underflowed: take the largest p out of the sum,
+        top = p.max()  # D = top**(k/(1-k)) * (sum (p/top)**k)**(1/(1-k)), which tends to 1/top
+        scaled = np.sum((p / top) ** order)  # at least 1; no product with k can overflow
+        return float(top ** (order / (1.0 - order)) * scaled ** (1.0 / (1.0 - order)))
     return float(total ** (1.0 / (1.0 - order)))
 
 

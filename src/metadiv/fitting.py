@@ -38,7 +38,9 @@ evaluated and why it stopped: a relative parameter change below
 ``REL_PARAM_TOL`` (``param-tol``), a relative cost change below
 ``REL_COST_TOL`` (``cost-tol``), no damping up to 1e12 that reduces the
 cost (``damping-exhausted``), or ``MAX_ITER`` iterations (``max-iter``).
-Only the first two count as converged.
+Only the first two count as converged, and only with finite parameters and
+cost: a curve whose arithmetic overflows or underflows ends unconverged,
+without numpy warnings.
 """
 
 from __future__ import annotations
@@ -289,6 +291,7 @@ def _initial_params(kind: ModelKind, n: np.ndarray, v: np.ndarray) -> np.ndarray
     return np.array(FORMS[kind].start(d0, max(c0, 1e-6)))
 
 
+@np.errstate(all="ignore")  # an overflowing fit is reported through ``converged``
 def fit_model(curve: AccumulationCurve, kind: ModelKind) -> FitResult:
     """Fit a saturating model by damped iterative least squares.
 
@@ -361,7 +364,7 @@ def fit_model(curve: AccumulationCurve, kind: ModelKind) -> FitResult:
         params={name: float(val) for name, val in zip(names, p)},
         residual=float(np.sqrt(cost / len(n))),
         n_points=len(curve),
-        converged=stop_reason in ("param-tol", "cost-tol"),
+        converged=stop_reason in ("param-tol", "cost-tol") and bool(np.isfinite([*p, cost]).all()),
         iterations=iterations,
         stop_reason=stop_reason,
     )
@@ -374,6 +377,7 @@ def asymptote(fit: FitResult) -> float:
     return fit.params["D"]
 
 
+@np.errstate(all="ignore")  # as in fit_model; the CLI refuses a non-finite RMSE
 def compare_models(curve: AccumulationCurve, train_limit: int) -> list[RankedModel]:
     """Fit each saturating model on n <= train_limit, rank by holdout RMSE.
 

@@ -4,14 +4,15 @@ Each endpoint is queried for the number of resources per class, the number
 of triples per property, and the number of owl:sameAs links per external
 hostname.  When an endpoint truncates result sets or times out on the
 grouped query, retrieval falls back to a page loop: each page of distinct
-keys is counted in one VALUES batch before the next page is requested, so a
-harvest holds one page of keys.  Every harvester takes one ``SparqlClient``,
-which holds the endpoint's config and transport; its requests are strictly
-sequential and separated by a politeness delay.  ``metadiv lod`` harvests
-the endpoints of a roster concurrently, each through its own client in a
-pool thread, so no endpoint ever has more than one request in flight.  The
-default transport, ``HttpTransport``, speaks the SPARQL 1.1 Protocol through
-the standard library's urllib.
+keys is counted in one VALUES batch before the next page is requested.
+Answer rows, direct or partitioned, are counted as they arrive, so a
+harvest holds one page of rows besides the counts.  Every harvester takes
+one ``SparqlClient``, which holds the endpoint's config and transport; its
+requests are strictly sequential and separated by a politeness delay.
+``metadiv lod`` harvests the endpoints of a roster concurrently, each
+through its own client in a pool thread, so no endpoint ever has more than
+one request in flight.  The default transport, ``HttpTransport``, speaks
+the SPARQL 1.1 Protocol through the standard library's urllib.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import logging
 import os
 import sys
 import time
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from importlib import resources
@@ -287,7 +288,7 @@ class SparqlClient:
 def _counts_from_rows(
     rows: Iterable[dict[str, str]], key_var: str
 ) -> FrequencyDistribution:
-    pairs = []
+    counts: dict[str, int] = {}
     total = 0  # FrequencyDistribution takes the counts and their sum as floats
     for row in rows:
         try:
@@ -299,10 +300,9 @@ def _counts_from_rows(
                 raise ValueError("the counts add up past float range")
         except (KeyError, ValueError) as exc:
             raise ProtocolError(f"malformed count row {row!r}: {exc}") from exc
-        if key == "":
-            continue  # sameAs targets without a //host/ part bind to ""
-        pairs.append((key, count))
-    return FrequencyDistribution.from_counts(pairs)
+        if key != "" and count:  # zero counts are not stored; "" is a sameAs target with no //host/
+            counts[key] = counts.get(key, 0) + count
+    return FrequencyDistribution(counts)
 
 
 # Partitioned retrieval, shared by the class and property harvests: each page
@@ -317,20 +317,20 @@ _BATCH = (
 )
 
 
-def _grouped_with_fallback(
+def _grouped_rows(
     client: SparqlClient, direct_query: str, key: str, pattern: str, count: str
-) -> FrequencyDistribution:
-    """Counts per ``key`` from ``direct_query``, or from partitioned ``pattern`` queries."""
+) -> Iterator[dict[str, str]]:
+    """Rows of ``direct_query`` if complete, else of partitioned ``pattern`` queries."""
     page = client.cfg.page_size
     try:
         result = client.select(direct_query)
         if not result.truncated and len(result.rows) < page:
-            return _counts_from_rows(result.rows, key)
+            yield from result.rows
+            return
+        del result  # a capped answer is not kept through the page loop
     except QueryTimeout:
         pass
-    rows: list[dict[str, str]] = []
-    offset = 0
-    while True:
+    for offset in range(0, sys.maxsize, page):
         key_rows = client.select(_ENUM.format(key=key, pattern=pattern, limit=page,
                                               offset=offset)).rows
         if malformed := [row for row in key_rows if key not in row]:
@@ -338,20 +338,21 @@ def _grouped_with_fallback(
         if key_rows:
             values = " ".join(f"<{row[key]}>" for row in key_rows)
             query = _BATCH.format(key=key, count=count, values=values, pattern=pattern)
-            rows.extend(client.select(query).rows)
+            yield from client.select(query).rows
         if len(key_rows) < page:
-            return _counts_from_rows(rows, key)
-        offset += page
+            return
 
 
 def class_counts(client: SparqlClient) -> FrequencyDistribution:
     """Resources per class, with partitioned fallback on truncation/timeout."""
-    return _grouped_with_fallback(client, CLASS_COUNT_QUERY, "class", "?s a ?class", "COUNT(?s)")
+    rows = _grouped_rows(client, CLASS_COUNT_QUERY, "class", "?s a ?class", "COUNT(?s)")
+    return _counts_from_rows(rows, "class")
 
 
 def property_counts(client: SparqlClient) -> FrequencyDistribution:
     """Triples per predicate, with the same partitioned fallback."""
-    return _grouped_with_fallback(client, PROPERTY_COUNT_QUERY, "p", "?s ?p ?o", "COUNT(*)")
+    rows = _grouped_rows(client, PROPERTY_COUNT_QUERY, "p", "?s ?p ?o", "COUNT(*)")
+    return _counts_from_rows(rows, "p")
 
 
 def sameas_host_counts(client: SparqlClient) -> FrequencyDistribution:
@@ -434,8 +435,9 @@ _ROSTER_OPTIONS = {"page_size": int, "timeout": float, "delay_ms": int}
 def load_roster(path=None) -> list[EndpointConfig]:
     """Endpoint roster: the shipped library list, or a user JSON file.
 
-    Each entry needs a ``name`` and a ``url``; ``page_size``, ``timeout``
-    and ``delay_ms`` override the ``EndpointConfig`` defaults.
+    Each entry needs a ``name`` that no other entry has and a ``url``;
+    ``page_size``, ``timeout`` and ``delay_ms`` override the
+    ``EndpointConfig`` defaults.
     """
     if path is None:
         source = "shipped roster"
@@ -451,6 +453,7 @@ def load_roster(path=None) -> list[EndpointConfig]:
     if not isinstance(entries, list):
         raise ValueError(f"{source}: expected a JSON list of endpoints")
     roster = []
+    first: dict[str, int] = {}  # name -> index of the entry that has it
     for index, entry in enumerate(entries):
         try:
             options = {k: cast(entry[k]) for k, cast in _ROSTER_OPTIONS.items() if k in entry}
@@ -459,6 +462,8 @@ def load_roster(path=None) -> list[EndpointConfig]:
                 exact = isinstance(raw, (str, type(value))) or raw == value
                 if isinstance(raw, bool) or not exact:
                     raise ValueError(f"{k} {raw!r} is not exactly a {type(value).__name__}")
+            if (other := first.setdefault(entry["name"], index)) != index:
+                raise ValueError(f"entries {other} and {index} are both named {entry['name']!r}")
             roster.append(EndpointConfig(name=entry["name"], url=entry["url"], **options))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{source}: entry {index} is invalid: {exc!r}") from exc

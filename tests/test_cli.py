@@ -189,6 +189,17 @@ class TestLexdiv:
         assert out == ""
         assert err == f"input error: --train {train} is past float range\n"
 
+    def test_order_past_float_range_in_the_power_sum(self, tmp_path, monkeypatch, capsys):
+        # Every p**k underflows, and k ln p is past float range: D is 1 / max p.
+        monkeypatch.chdir(tmp_path)
+        words = [f"w{i}" for i in np.random.default_rng(0).integers(0, 50, 2_000)]
+        Path("fifty.txt").write_text(" ".join(words))
+        argv = ["lexdiv", "fifty.txt", "--order", "1e308", "--format", "json"]
+        code, out, err = run_twice(argv, capsys)
+        assert (code, err) == (cli.EXIT_OK, "")
+        [doc] = json.loads(out)["documents"]
+        assert doc["observed_D"] == round(len(words) / max(Counter(words).values()), 4)
+
     def test_report_dict_shape(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         Path("tiny").write_text(" ".join("abcab" * 30))
@@ -360,6 +371,19 @@ class TestFit:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"input error: bad.csv, line 4: value '{value}' is not finite\n"
+
+    @pytest.mark.parametrize("scale, model", [(1e-320, "m2"), (1e300, "m4")])
+    @pytest.mark.parametrize("train", [[], ["--train", "20"]], ids=["fit", "train"])
+    def test_non_finite_fit_names_file(self, tmp_path, monkeypatch, capsys, scale, model, train):
+        # JSON has no Infinity, so the fit is refused instead of printed
+        monkeypatch.chdir(tmp_path)
+        lines = ["n,value"] + [f"{n},{scale * n!r}" for n in range(1, 40)]
+        (tmp_path / "extreme.csv").write_text("\n".join(lines) + "\n")
+        assert cli.main(["fit", "extreme.csv", "--model", model, *train]) == cli.EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(
+            "input error: extreme.csv: Out of range float values are not JSON compliant")
 
 
 class TestMarc:

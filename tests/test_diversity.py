@@ -237,14 +237,17 @@ def hill_oracle(p, order) -> float:
     """Hill diversity of the float weights ``p`` normalized, worked at 50 digits.
 
     Normalizing here keeps the rounding of the float sum of ``p`` out of the
-    oracle; near order 1 the power sum amplifies it by 1 / (1 - k).
+    oracle; near order 1 the power sum amplifies it by 1 / (1 - k).  The
+    largest weight is factored out, D = top**(k/(1-k)) * (sum (x/top)**k)**(1/(1-k)),
+    so that the sum keeps its term 1 where every (x/norm)**k is below the
+    smallest Decimal, as at k = 1e308.
     """
     with localcontext() as ctx:
         ctx.prec, ctx.Emin, ctx.Emax = 50, MIN_EMIN, MAX_EMAX  # 0.1 ** 1e6 is 1e-1000000
         weights = [Decimal(x) for x in p]
-        norm = sum(weights)
-        total = sum((x / norm) ** Decimal(order) for x in weights)
-        return float(total ** (1 / (1 - Decimal(order))))
+        norm, top, k = sum(weights), max(weights), Decimal(order)
+        total = sum((x / top) ** k for x in weights)
+        return float((top / norm) ** (k / (1 - k)) * total ** (1 / (1 - k)))
 
 
 class TestHighOrders:
@@ -256,6 +259,17 @@ class TestHighOrders:
         assert hill_from_probabilities(np.array(p), order) == pytest.approx(
             hill_oracle(p, order), rel=1e-14
         )
+
+    @pytest.mark.parametrize("order", [400.0, 1e6, 1e308])
+    def test_largest_class_factored_out(self, order):
+        # 50 classes: every p**k underflows from k = 400 on, and at 1e308 the
+        # product k ln p is past float range; D tends to 1 / max p
+        counts = np.bincount(np.random.default_rng(0).integers(0, 50, 2_000)).astype(float)
+        p = counts / counts.sum()
+        assert np.sum(p**order) < np.finfo(float).tiny
+        d = hill_from_probabilities(p, order)
+        assert d == pytest.approx(hill_oracle(p, order), rel=1e-14)
+        assert 1 / p.max() <= d < 1.01 / p.max()
 
     @settings(max_examples=100, deadline=None)
     @given(counts_lists, st.sampled_from([0.0, 0.5, 2.0, 3.0]))

@@ -119,6 +119,18 @@ class TestSaturatingFit:
         assert (fit.iterations, fit.stop_reason) == (1, "max-iter")
         assert fit.residual >= 0.0
 
+    # Curves whose arithmetic leaves float range: near the smallest subnormal
+    # M2's c runs to infinity at a cost that underflows to 0, and near the
+    # largest float M4's cost overflows.  Either would raise a numpy warning,
+    # which filterwarnings turns into an error here.
+    @pytest.mark.parametrize("scale, kind", [(1e-320, ModelKind.M2), (1e300, ModelKind.M4)])
+    def test_non_finite_fit_is_not_converged(self, scale, kind):
+        curve = AccumulationCurve(points=tuple((n, scale * n) for n in range(1, 40)))
+        fit = fit_model(curve, kind)
+        assert fit.converged is False
+        assert not np.isfinite([*fit.params.values(), fit.residual]).all()
+        assert len(compare_models(curve, 20)) == len(SATURATING)
+
     def test_no_damping_reduces_the_cost(self, monkeypatch):
         """Every trial step raises the cost: the fit stops at its cold start."""
         kind = ModelKind.M2

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -188,6 +189,45 @@ class TestClassCounts:
         assert kinds.count("E") == n_classes // page + 1
         assert "VALUES ?class {  }" not in "".join(transport.queries)
 
+    def test_malformed_count_row_stops_the_harvest(self):
+        graph = [(f"s{i}", "rdf:type", f"http://example.org/C{i}") for i in range(7)]
+        inner = GraphTransport(graph, row_cap=2)
+
+        class NegativeBatchCounts:
+            def select(self, url, query, timeout):
+                result = inner.select(url, query, timeout)
+                if "VALUES" in query:
+                    return SparqlResult(rows=[{**row, "count": "-1"} for row in result.rows])
+                return result
+
+        with pytest.raises(ProtocolError, match=r"^malformed count row \{'class': 'http://exa"):
+            class_counts(SparqlClient(replace(CFG, page_size=2), NegativeBatchCounts()))
+        # the direct query, the first page and its batch; nothing after the batch
+        assert inner.queries[0] == CLASS_COUNT_QUERY
+        assert inner.queries[1].startswith("SELECT DISTINCT ?class")
+        assert "VALUES" in inner.queries[2]
+        assert len(inner.queries) == 3
+
+    @pytest.mark.parametrize("n_classes", [500, 4_000])
+    def test_partitioned_harvest_holds_one_page_of_rows(self, n_classes):
+        # Rows are counted as they arrive, so above the distribution it
+        # returns, a harvest holds one page of rows and the dict's growth.
+        # Holding every batch's rows until the end takes about twice the
+        # distribution again.
+        graph = [(f"s{i}", "rdf:type", f"http://example.org/C{i % n_classes}")
+                 for i in range(3 * n_classes)]
+        client = SparqlClient(replace(CFG, page_size=50),
+                              RowCopying(GraphTransport(graph, row_cap=50)))
+        expected = class_counts(client)  # records every answer before tracing
+        tracemalloc.start()
+        try:
+            dist = class_counts(client)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert dist == expected and len(dist) == n_classes
+        assert peak - kept < kept / 2
+
     def test_malformed_key_row_raises_protocol_error(self):
         inner = GraphTransport(PEOPLE_GRAPH)
 
@@ -202,6 +242,22 @@ class TestClassCounts:
         with pytest.raises(ProtocolError, match=r"^malformed key row \{'k': 'http://exa"):
             class_counts(SparqlClient(cfg, KeylessPage()))
         assert inner.queries == [CLASS_COUNT_QUERY]  # no batch for the malformed page
+
+
+class RowCopying:
+    """Answers each query with fresh rows parsed from JSON, as ``HttpTransport``
+    does; the JSON text is recorded from ``inner`` the first time a query is sent."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.answers: dict[str, tuple[str, bool]] = {}
+
+    def select(self, url: str, query: str, timeout: float) -> SparqlResult:
+        if query not in self.answers:
+            result = self.inner.select(url, query, timeout)
+            self.answers[query] = (json.dumps(result.rows), result.truncated)
+        body, truncated = self.answers[query]
+        return SparqlResult(rows=json.loads(body), truncated=truncated)
 
 
 # Random graphs over few classes and properties, so keys repeat and their
@@ -447,6 +503,23 @@ class TestShippedData:
                            delay_ms=7),
             EndpointConfig(name="Y", url="http://y/sparql", timeout=2.5),
         ]
+
+    def test_two_entries_may_share_a_url(self, tmp_path):
+        path = tmp_path / "roster.json"
+        path.write_text(json.dumps([{"name": "X", "url": "http://x/sparql"},
+                                    {"name": "Y", "url": "http://x/sparql"}]))
+        assert [cfg.name for cfg in load_roster(str(path))] == ["X", "Y"]
+
+    def test_two_entries_may_not_share_a_name(self, tmp_path):
+        # ``--endpoint a`` would harvest both and print two profiles named a
+        path = tmp_path / "roster.json"
+        path.write_text(json.dumps([{"name": "a", "url": "http://x/sparql"},
+                                    {"name": "b", "url": "http://x/sparql"},
+                                    {"name": "a", "url": "http://y/sparql"}]))
+        with pytest.raises(ValueError) as err:
+            load_roster(str(path))
+        assert str(err.value) == (f"roster {path}: entry 2 is invalid: "
+                                  """ValueError("entries 0 and 2 are both named 'a'")""")
 
     @pytest.mark.parametrize("entries, problem", [
         ([{"name": "X", "url": "http://x/sparql"}, {"name": "Y"}], "entry 1 .*'url'"),
