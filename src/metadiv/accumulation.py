@@ -91,12 +91,12 @@ class AccumulationCurve:
     def _read_csv(cls, f, name) -> AccumulationCurve:
         reader = csv.reader(f)
         rows = filter(None, reader)  # blank lines are skipped
-        if next(rows, [])[:2] != ["n", "value"]:
-            raise ValueError(f"{name}: the header must be 'n,value'")
         points: list[tuple[int, float]] = []
         counted = True  # ``to_csv`` writes type counts, and only them, as bare integers
         last = 0
         try:
+            if next(rows, [])[:2] != ["n", "value"]:
+                raise ValueError("the header must be 'n,value'")
             for r in rows:
                 if len(r) < 2:
                     raise ValueError(f"row {','.join(r)!r} needs an n and a value")
@@ -112,8 +112,9 @@ class AccumulationCurve:
                 points.append((n, value))
                 counted = counted and r[1].isdigit()
                 last = n
-        except ValueError as exc:
-            raise ValueError(f"{name}, line {reader.line_num}: {exc}") from None
+        except (ValueError, csv.Error) as exc:  # csv.Error: a field past csv's size limit
+            # an empty file has no line 1, but that is where its header belongs
+            raise ValueError(f"{name}, line {max(reader.line_num, 1)}: {exc}") from None
         statistic = "type-count" if counted and points else "diversity"
         return cls(points=tuple(points), statistic=statistic)
 

@@ -269,9 +269,10 @@ def _run_lod(args, transport) -> None:
                 client.stopped = True
             raise
 
-    # Endpoints are independent servers: each is harvested in its own worker,
-    # while its client keeps its own requests one at a time.
-    with ThreadPoolExecutor() as pool:
+    # Endpoints are independent servers: every one is harvested at once, each
+    # in its own worker, while its client keeps its own requests one at a time.
+    # A pool needs one worker even for an empty roster.
+    with ThreadPoolExecutor(max_workers=max(len(clients), 1)) as pool:
         try:
             profiles = list(pool.map(harvest, range(len(clients))))
         except BaseException:  # an interrupt, or the first failure in roster order

@@ -40,7 +40,9 @@ evaluated and why it stopped: a relative parameter change below
 cost (``damping-exhausted``), or ``MAX_ITER`` iterations (``max-iter``).
 Only the first two count as converged, and only with finite parameters and
 cost: a curve whose arithmetic overflows or underflows ends unconverged,
-without numpy warnings.
+without numpy warnings.  Neither does a fit whose asymptote D ends on its
+floor: the curve then lies below anything the model can fit.  Other
+parameters may end on theirs (an M4 ``c`` on its floor is a flat curve).
 """
 
 from __future__ import annotations
@@ -256,11 +258,13 @@ class RankedModel(NamedTuple):
     fit: FitResult
 
 
+@np.errstate(all="ignore")  # a C out of float range is reported through ``converged``
 def fit_power_law(curve: AccumulationCurve) -> FitResult:
     """Fit value = C * n**alpha by OLS on the log-log points.
 
     Exact on data generated from the model itself; the reported residual is
-    the RMSE in log space.
+    the RMSE in log space.  The fit is not converged when C leaves float
+    range: it overflows, or underflows to 0.
     """
     if len(curve) < 3:
         raise InsufficientDataError("power-law fit needs at least 3 points")
@@ -272,12 +276,13 @@ def fit_power_law(curve: AccumulationCurve) -> FitResult:
     log_v = np.log(v)
     slope, intercept = np.polyfit(log_n, log_v, 1)
     resid = log_v - (intercept + slope * log_n)
+    C = float(np.exp(intercept))
     return FitResult(
         kind=ModelKind.POWER_LAW,
-        params={"C": float(np.exp(intercept)), "alpha": float(slope)},
+        params={"C": C, "alpha": float(slope)},
         residual=float(np.sqrt(np.mean(resid**2))),
         n_points=len(curve),
-        converged=True,
+        converged=0.0 < C < np.inf,
     )
 
 
@@ -364,7 +369,9 @@ def fit_model(curve: AccumulationCurve, kind: ModelKind) -> FitResult:
         params={name: float(val) for name, val in zip(names, p)},
         residual=float(np.sqrt(cost / len(n))),
         n_points=len(curve),
-        converged=stop_reason in ("param-tol", "cost-tol") and bool(np.isfinite([*p, cost]).all()),
+        # p[0] is D, the first parameter of every saturating model
+        converged=stop_reason in ("param-tol", "cost-tol")
+        and bool(np.isfinite([*p, cost]).all() and p[0] > floor[0]),
         iterations=iterations,
         stop_reason=stop_reason,
     )

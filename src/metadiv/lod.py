@@ -148,6 +148,8 @@ class EndpointConfig:
     delay_ms: int = 0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str):  # it is printed, and CSV-quoted, as a string
+            raise ValueError(f"name must be a string, got {self.name!r}")
         parts = urlsplit(str(self.url))
         if not (parts.scheme in ("http", "https") and parts.hostname and str(self.url).isascii()):
             raise ValueError(f"url must be an ASCII http(s) URL with a host, got {self.url!r}")
@@ -435,7 +437,7 @@ _ROSTER_OPTIONS = {"page_size": int, "timeout": float, "delay_ms": int}
 def load_roster(path=None) -> list[EndpointConfig]:
     """Endpoint roster: the shipped library list, or a user JSON file.
 
-    Each entry needs a ``name`` that no other entry has and a ``url``;
+    Each entry needs a string ``name`` that no other entry has and a ``url``;
     ``page_size``, ``timeout`` and ``delay_ms`` override the
     ``EndpointConfig`` defaults.
     """

@@ -294,6 +294,8 @@ class TestCurveContainer:
             ("1,1.0\n1.5,2.0\n", 3, "'1.5'"),  # n not an integer
             ("0,1.0\n", 2, "n 0 is below 1"),
             ("1,1.0\n\n3,2.0\n3,4.0\n", 5, "n 3 does not exceed the previous n 3"),
+            pytest.param("1," + "1" * 200_000 + "\n", 2, "field larger than field limit",
+                         id="csv-field-limit"),
         ],
     )
     def test_from_csv_error_names_file_and_line(self, tmp_path, body, line, detail):

@@ -10,14 +10,19 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import threading
 import time
+import warnings
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from metadiv import cli, lod
 from metadiv.accumulation import AccumulationCurve, every
@@ -27,7 +32,7 @@ from metadiv.synthetic import zipf_corpus
 from metadiv.text import lexical_report, tokenize
 
 from .conftest import (PEOPLE_GRAPH, FlakyTransport, GraphTransport, RewrittenCounts,
-                       marc_collection, marc_record)
+                       marc_collection, marc_record, negated)
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -53,6 +58,11 @@ def run_twice(argv, capsys, transport=None) -> tuple[int, str, str]:
     second = capsys.readouterr()
     assert (code1, first.out, first.err) == (code2, second.out, second.err)
     return code1, first.out, first.err
+
+
+def scaled_curve(scale: float) -> str:
+    """Curve CSV text with values scale·n for n = 1..39."""
+    return "n,value\n" + "".join(f"{n},{scale * n!r}\n" for n in range(1, 40))
 
 
 @pytest.fixture()
@@ -384,6 +394,16 @@ class TestFit:
         assert out == ""
         assert err.startswith(
             "input error: extreme.csv: Out of range float values are not JSON compliant")
+
+    def test_fit_with_d_on_its_floor_is_not_converged(self, tmp_path, monkeypatch, capsys):
+        # M1 cannot go below D = 1e-12, about 1e296 times these values
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "tiny.csv").write_text(scaled_curve(1e-320))
+        code, out, _ = run_twice(["fit", "tiny.csv", "--model", "m1"], capsys)
+        assert code == cli.EXIT_OK
+        payload = json.loads(out)
+        assert payload["params"]["D"] == FORMS[ModelKind.M1].floors[0]
+        assert payload["converged"] is False
 
 
 class TestMarc:
@@ -720,6 +740,47 @@ class TestLod:
         assert cli.main(["lod", "--roster", three_roster], transport=ByUrl(before)) == cli.EXIT_OK
         capsys.readouterr()
 
+    def test_every_endpoint_is_harvested_at_once(self, tmp_path, monkeypatch, capsys):
+        # One endpoint more than a thread pool's default bound.  Each first
+        # request is answered only once every endpoint has sent one, so a pool
+        # with fewer workers than endpoints fails here instead of hanging.
+        size = min(32, (os.cpu_count() or 1) + 4) + 1
+        roster = tmp_path / "many.json"
+        roster.write_text(json.dumps(
+            [{"name": f"E{i}", "url": f"http://e{i}.invalid/sparql"} for i in range(size)]))
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+        everyone_asked = threading.Barrier(size, timeout=5)
+        asked: set[str] = set()
+        lock = threading.Lock()
+        graph = GraphTransport(PEOPLE_GRAPH)
+
+        class HoldFirst:
+            def select(self, url, query, timeout):
+                with lock:
+                    first = url not in asked
+                    asked.add(url)
+                if first:
+                    try:
+                        everyone_asked.wait()
+                    except threading.BrokenBarrierError:
+                        raise AssertionError(f"{len(asked)} of {size} endpoints sent a request")
+                return graph.select(url, query, timeout)
+
+        argv = ["lod", "--roster", str(roster), "--format", "csv"]
+        assert cli.main(argv, transport=HoldFirst()) == cli.EXIT_OK
+        out = capsys.readouterr().out
+        assert [line.split(",")[0] for line in out.splitlines()[1:]] == [
+            f"E{i}" for i in range(size)]
+
+    @pytest.mark.parametrize("fmt, printed", [
+        ("json", "[]\n"), ("csv", "host,class_D,class_R,class_DR,prop_D,prop_R,prop_DR\n")])
+    def test_empty_roster(self, tmp_path, capsys, fmt, printed):
+        roster = tmp_path / "empty.json"
+        roster.write_text("[]")
+        argv = ["lod", "--roster", str(roster), "--format", fmt]
+        assert cli.main(argv, transport=GraphTransport(PEOPLE_GRAPH)) == cli.EXIT_OK
+        assert capsys.readouterr() == (printed, "")
+
     def test_one_request_in_flight_per_endpoint(self, three_roster, capsys):
         transport = ByUrl()
         interval = sys.getswitchinterval()
@@ -795,8 +856,9 @@ class TestLod:
 
     def test_no_request_behind_a_failure(self, three_roster, capsys, monkeypatch):
         monkeypatch.setattr(lod, "BACKOFF_BASE_SECONDS", 0)
+        # one worker, whatever size the pool is asked for
         monkeypatch.setattr(cli, "ThreadPoolExecutor",
-                            functools.partial(ThreadPoolExecutor, max_workers=1))
+                            lambda max_workers=None: ThreadPoolExecutor(1))
         transport = ByUrl()
         transport.routes[A_URL] = FlakyTransport(transport.routes[A_URL], failures=99)
         code = cli.main(["lod", "--roster", three_roster], transport=transport)
@@ -891,6 +953,143 @@ class TestUsage:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True, timeout=60).stdout
         assert out == "[]\n"
+
+
+# --- malformed input ---------------------------------------------------------
+
+BIG = "1" + "0" * 400  # an integer past float range
+
+
+def run_cli(argv, transport=None) -> tuple[int, str]:
+    """``cli.main``'s exit code and stdout; a warning, in any thread, raises."""
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()):
+        warnings.simplefilter("error")
+        code = cli.main(argv, transport)
+    return code, out.getvalue()
+
+
+# Curve cells: numbers, numbers past float range, non-numbers and any text.
+cells = st.one_of(st.integers(-2, 10**6).map(str), st.floats().map(repr),
+                  st.sampled_from(["", "abc", "nan", "-inf", "1e400", BIG, " 7", "1_0"]),
+                  st.text(max_size=4))
+
+
+@st.composite
+def growth_curves(draw) -> str:
+    """Curve CSV text of increasing n, scaled up to float range's ends."""
+    header = draw(st.sampled_from(["n,value", "n,value,year"]))
+    ns = sorted(draw(st.sets(st.integers(1, 10**6), min_size=2, max_size=40)))
+    scale = draw(st.one_of(st.sampled_from([1.0, 1e-320, 1e300]), st.floats(-1e300, 1e300)))
+    noise = draw(st.lists(st.floats(0, 1e3), min_size=len(ns), max_size=len(ns)))
+    rows = [f"{n},{scale * (i + 1) + e!r}" for i, (n, e) in enumerate(zip(ns, noise))]
+    return "\n".join([header, *rows]) + "\n"
+
+
+curve_texts = st.one_of(
+    growth_curves(),
+    st.lists(st.lists(cells, max_size=3).map(",".join), max_size=6).map(
+        lambda rows: "\n".join(["n,value", *rows]) + "\n"),
+    st.text(max_size=20))
+
+# Roster values of every JSON type, and strings that parse as numbers or not.
+roster_values = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                          st.text(max_size=4), st.sampled_from(["2", "1.5", "nan", "1e30"]))
+ROSTER_FIELDS = {  # values each field takes in a valid entry
+    "name": st.sampled_from(["A", "B", "a,b", ""]),
+    "url": st.sampled_from([A_URL, "https://b.example/s?x=1"]),
+    "page_size": st.integers(1, 3) | st.just(10_000),
+    "timeout": st.floats(1e-3, lod.TIMEOUT_MAX),
+    "delay_ms": st.integers(0, int(lod.TIMEOUT_MAX * 500)),
+}
+
+
+@st.composite
+def roster_entries(draw) -> dict:
+    """A valid roster entry, or one with a field of any value."""
+    names = list(ROSTER_FIELDS)
+    entry = draw(st.fixed_dictionaries({key: ROSTER_FIELDS[key] for key in names[:2]},
+                                       optional={key: ROSTER_FIELDS[key] for key in names[2:]}))
+    if draw(st.booleans()):
+        entry[draw(st.sampled_from([*names, "other"]))] = draw(roster_values)
+    return entry
+
+
+roster_texts = st.one_of(
+    st.lists(roster_entries(), max_size=3, unique_by=lambda entry: repr(entry["name"]))
+    .map(json.dumps),
+    st.lists(roster_values, max_size=2).map(json.dumps),
+    st.text(max_size=8))
+
+# Count rewrites of the class count answer
+COUNT_REWRITES = {"none": None, "negated": negated,
+                  "past-range": lambda count: count + "0" * 400,
+                  "sum-past-range": lambda count: "1" + "0" * 308}
+
+
+class TestMalformedInput:
+    """Whatever a curve file or a roster holds, ``metadiv`` ends with an exit
+    code and a message: no exception escapes and no warning is raised."""
+
+    # The explicit examples are earlier tracebacks, non-JSON output and numpy
+    # warnings, each now mended where its value enters.
+    @settings(max_examples=150, deadline=None)
+    @given(curve_texts, st.sampled_from(["power", "m1", "m2", "m3", "m4", "m5"]),
+           st.one_of(st.none(), st.integers(-5, 10**3).map(str), st.sampled_from([BIG, "x"])))
+    @example(f"n,value\n1,1.0\n{BIG},2.0\n", "m2", None)
+    @example(scaled_curve(1.0), "m4", BIG)
+    @example(scaled_curve(1.0), "m4", "-" + BIG)
+    @example(scaled_curve(1e-320), "m2", None)
+    @example(scaled_curve(1e-320), "m2", "20")
+    @example(scaled_curve(1e300), "m4", None)
+    @example(scaled_curve(1e300), "m4", "20")
+    @example("n,value\n3,1.0\n4,2e-320\n5,3e-320\n", "power", None)  # C overflows
+    @example("n,value\n1," + "1" * 200_000 + "\n", "m2", None)  # past csv's field limit
+    def test_fit(self, text, model, train):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "curve.csv")
+            with open(path, "w", encoding="utf-8", newline="") as f:
+                f.write(text)
+            argv = ["fit", path, "--model", model] + ([] if train is None else ["--train", train])
+            code, out = run_cli(argv)
+        assert code in (cli.EXIT_OK, cli.EXIT_INPUT, cli.EXIT_USAGE)
+        if code == cli.EXIT_OK:
+            assert json.loads(out)["kind"] == model
+
+    @settings(max_examples=150, deadline=None)
+    @given(roster_texts, st.sampled_from(["json", "csv"]), st.sampled_from([None, "A"]),
+           st.just("none") | st.sampled_from(sorted(COUNT_REWRITES)))
+    @example('[{"name": "X",', "json", None, "none")
+    @example(json.dumps([{"name": "a", "url": A_URL}, {"name": "b", "url": A_URL},
+                         {"name": "a", "url": B_URL}]), "json", "a", "none")
+    @example(json.dumps([{"name": "A", "url": A_URL, "delay_ms": 1e30}]), "json", None, "none")
+    @example(json.dumps([{"name": "A", "url": A_URL, "timeout": 1e12}]), "json", None, "none")
+    @example(json.dumps([{"name": "A", "url": A_URL}]), "json", None, "negated")
+    @example(json.dumps([{"name": "A", "url": A_URL}]), "csv", None, "past-range")
+    @example(json.dumps([{"name": "A", "url": A_URL}]), "json", None, "sum-past-range")
+    @example(json.dumps([{"name": None, "url": A_URL}]), "csv", None, "none")
+    def test_lod(self, text, fmt, endpoint, rewrite):
+        transport = GraphTransport(PEOPLE_GRAPH + [("x", "owl:sameAs", "http://viaf.org/v/1")])
+        if COUNT_REWRITES[rewrite] is not None:
+            transport = RewrittenCounts(transport, lod.CLASS_COUNT_QUERY, COUNT_REWRITES[rewrite])
+        slept: list[float] = []  # a roster's delay is recorded, not slept
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(cli, "SparqlClient",
+                                  functools.partial(lod.SparqlClient, sleep=slept.append)):
+            path = os.path.join(tmp, "roster.json")
+            with open(path, "w", encoding="utf-8") as f:
+                f.write(text)
+            argv = ["lod", "--roster", path, "--format", fmt]
+            code, out = run_cli(argv + ([] if endpoint is None else ["--endpoint", endpoint]),
+                                transport)
+        assert code in (cli.EXIT_OK, cli.EXIT_INPUT, cli.EXIT_TRANSPORT)
+        assert all(0 <= seconds <= lod.TIMEOUT_MAX / 2 for seconds in slept)
+        if code == cli.EXIT_OK and fmt == "json":
+            assert isinstance(json.loads(out), list)
+        elif code == cli.EXIT_OK:
+            header, *rows = csv.reader(io.StringIO(out))
+            assert header == "host,class_D,class_R,class_DR,prop_D,prop_R,prop_DR".split(",")
+            assert all(len(row) == len(header) for row in rows)
 
 
 def golden_outputs() -> dict[str, str]:

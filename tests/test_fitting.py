@@ -59,6 +59,16 @@ class TestPowerLawFit:
         with pytest.raises(ValueError):
             fit_power_law(curve)
 
+    # exp of the intercept overflows, or underflows to 0, without a numpy warning
+    @pytest.mark.parametrize("points, C", [
+        (((3, 1.0), (4, 2e-320), (5, 3e-320)), np.inf),
+        (((10, 1e-300), (11, 1e-200), (12, 1e-100)), 0.0),
+    ], ids=["overflow", "underflow"])
+    def test_c_out_of_float_range_is_not_converged(self, points, C):
+        fit = fit_power_law(AccumulationCurve(points=points))
+        assert fit.params["C"] == C
+        assert fit.converged is False
+
 
 def _random_params(kind: ModelKind, rng) -> np.ndarray:
     d = rng.uniform(2.0, 200.0)
@@ -111,6 +121,16 @@ class TestSaturatingFit:
         curve = AccumulationCurve(points=tuple((n, 1.0) for n in (1, 5, 20, 100, 1000)))
         fit = fit_model(curve, ModelKind.M4)
         assert fit.predict(np.array([10.0, 1e4])) == pytest.approx([1.0, 1.0], abs=1e-3)
+        # c and alpha end on their floors; only D on its floor is not converged
+        assert (fit.params["c"], fit.params["alpha"], fit.converged) == (1e-12, 1e-12, True)
+
+    @pytest.mark.parametrize("kind", SATURATING)
+    def test_d_on_its_floor_is_not_converged(self, kind):
+        # Far below the floor of D, 1e-12: no model value can come near the curve
+        curve = AccumulationCurve(points=tuple((n, 1e-320 * n) for n in range(1, 40)))
+        fit = fit_model(curve, kind)
+        assert fit.params["D"] == FORMS[kind].floors[0]
+        assert fit.converged is False
 
     def test_non_convergence_is_a_state_not_an_exception(self, monkeypatch):
         monkeypatch.setattr("metadiv.fitting.MAX_ITER", 1)

@@ -525,6 +525,8 @@ class TestShippedData:
         ([{"name": "X", "url": "http://x/sparql"}, {"name": "Y"}], "entry 1 .*'url'"),
         ([{"name": "X", "url": "http://x/sparql", "page_size": 0}], "entry 0 .*page size"),
         (["http://x/sparql"], "entry 0"),
+        *(pytest.param([{"name": n, "url": "http://x/sparql"}], "entry 0 .*name must be a string",
+                       id=f"name-{n}") for n in (None, 5, True)),
         pytest.param('[{"name": "X",', "not valid JSON: ", id="truncated"),
         *(pytest.param([{"name": "X", "url": "http://x/sparql", "timeout": t}],
                        "entry 0 .*timeout", id=f"timeout-{t}") for t in (0, -1, "nan")),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import unicodedata
 
 import numpy as np
 import pytest
@@ -22,10 +23,12 @@ _TOKENIZER_ALPHABET = "aZq09_'’- \t\nİῶǰßΣﬁ\u0301\u0342٣²"
 
 
 def _per_match_tokens(text: str) -> tuple[str, ...]:
-    """Reference tokenizer: letter test and casefold once per match."""
+    """Reference tokenizer: letter test, casefold and NFC once per match of
+    word characters and U+0300-U+036F marks in the NFC text."""
     return tuple(
-        m.group(0).casefold()
-        for m in re.finditer(r"\w+(?:['’-]\w+)*", text)
+        unicodedata.normalize("NFC", m.group(0).casefold())
+        for m in re.finditer(r"[\w\u0300-\u036f]+(?:['’-][\w\u0300-\u036f]+)*",
+                             unicodedata.normalize("NFC", text))
         if re.search(r"[^\W\d_]", m.group(0))
     )
 
@@ -55,6 +58,24 @@ class TestTokenize:
     def test_no_whitespace_or_empty_tokens(self):
         tokens = tokenize("a\tb\nc  d–e")
         assert all(tok and not any(ch.isspace() for ch in tok) for tok in tokens)
+
+    def test_decomposed_accents_read_as_composed(self):
+        text = "El año pasado, Ñandú comió piñones en Perú."
+        tokens = ("el", "año", "pasado", "ñandú", "comió", "piñones", "en", "perú")
+        assert tokenize(unicodedata.normalize("NFD", text)) == tokenize(text) == tokens
+
+    @pytest.mark.parametrize("word, token", [
+        ("İstanbul", "i\u0307stanbul"),  # no composed form of i and U+0307
+        ("ῶ", "\u1ff6"),                 # folds to ω and U+0342, composed again
+        ("ǰ", "\u01f0"),                 # folds to j and U+030C, composed again
+    ])
+    def test_folded_marks_stay_in_the_word(self, word, token):
+        assert tokenize(word) == (token,)
+        assert tokenize(token) == (token,)
+
+    def test_marks_outside_the_diacritical_block_end_a_word(self):
+        # U+0483, a Cyrillic titlo, is a combining mark too
+        assert tokenize("x\u0483y") == ("x", "y")
 
     @given(st.text(max_size=400))
     def test_idempotent_on_own_output(self, text):
