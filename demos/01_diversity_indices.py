@@ -15,9 +15,9 @@ from metadiv import (
 )
 
 # A perfectly even catalog facet and a skewed one, same richness.
-even = FrequencyDistribution.from_counts([(f"topic-{i}", 10) for i in range(8)])
-skewed = FrequencyDistribution.from_counts(
-    [("topic-0", 65), ("topic-1", 5)] + [(f"topic-{i}", 1) for i in range(2, 8)]
+even = FrequencyDistribution({f"topic-{i}": 10 for i in range(8)})
+skewed = FrequencyDistribution(
+    {"topic-0": 65, "topic-1": 5} | {f"topic-{i}": 1 for i in range(2, 8)}
 )
 
 print(f"{'order k':>8} {'even D':>9} {'skewed D':>9}")

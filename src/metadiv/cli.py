@@ -291,7 +291,7 @@ def _run_lod(args, transport) -> None:
         _write_output("\n".join(lines) + "\n", args.output)
     else:
         payload = [_profile_fields(p) for p in profiles]
-        _write_output(json.dumps(payload, indent=2) + "\n", args.output)
+        _write_output(_json_text(payload, args.roster or "shipped roster"), args.output)
 
 
 def main(argv=None, transport: SparqlTransport | None = None) -> int:

@@ -13,6 +13,7 @@ classes scores N at every order.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
@@ -37,43 +38,28 @@ ORDER_ONE_NEAR = 0.1
 class FrequencyDistribution:
     """Immutable label -> count multiset with a derived total.
 
-    Zero-count classes are never stored, so every stored count is a whole
-    number >= 1 (any other count raises ``ValueError``) and ``total`` is the
-    sum of the stored counts.
+    The constructor keeps its own copy of ``counts``, in which every count
+    must be a whole number >= 1 (any other count raises ``ValueError``), and
+    ``total`` is the sum of the counts.
     """
 
     counts: Mapping[str, int] = field(default_factory=dict)
     total: int = field(init=False)
 
     def __post_init__(self) -> None:
-        v = np.fromiter(self.counts.values(), dtype=float, count=len(self.counts))
+        counts = dict(self.counts)
+        v = np.fromiter(counts.values(), dtype=float, count=len(counts))
         bad = np.flatnonzero((v < 1) | (v % 1 != 0))
         if bad.size:
-            label, count = list(self.counts.items())[bad[0]]
+            label, count = list(counts.items())[bad[0]]
             raise ValueError(f"every count must be >= 1 and whole, got {count} for {label!r}")
-        object.__setattr__(self, "total", sum(self.counts.values()))
-
-    @classmethod
-    def from_counts(cls, pairs: Iterable[tuple[str, int]]) -> FrequencyDistribution:
-        """Build a distribution from (label, count) pairs.
-
-        Duplicate labels are merged by summation and zero-count entries are
-        dropped.  Negative or fractional counts raise ``ValueError``.
-        """
-        merged: dict[str, int] = {}
-        for label, count in pairs:
-            whole = int(count)
-            if whole != count or whole < 0:
-                raise ValueError(f"count {count} for label {label!r} is not a whole number >= 0")
-            if whole == 0:
-                continue
-            merged[label] = merged.get(label, 0) + whole
-        return cls(counts=merged)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "total", sum(counts.values()))
 
     @classmethod
     def from_events(cls, events: Iterable[str]) -> FrequencyDistribution:
         """Build a distribution by counting an event stream."""
-        return cls.from_counts((label, 1) for label in events)
+        return cls(Counter(events))
 
     def __len__(self) -> int:
         return len(self.counts)

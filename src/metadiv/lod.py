@@ -238,6 +238,8 @@ class HttpTransport:
                 {var: cell["value"] for var, cell in binding.items()}
                 for binding in bindings
             ]
+            if odd := [v for row in rows for v in row.values() if not isinstance(v, str)]:
+                raise TypeError(f"value {odd[0]!r} is not a string")  # SPARQL results JSON §3.2.2
         except (ValueError, KeyError, TypeError) as exc:
             raise ProtocolError(f"{url}: malformed SPARQL results: {exc}") from exc
         return SparqlResult(rows=rows)
@@ -450,7 +452,7 @@ def load_roster(path=None) -> list[EndpointConfig]:
             text = f.read()
     try:
         entries = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or a number past int's digit limit
         raise ValueError(f"{source}: not valid JSON: {exc}") from exc
     if not isinstance(entries, list):
         raise ValueError(f"{source}: expected a JSON list of endpoints")

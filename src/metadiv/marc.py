@@ -13,6 +13,7 @@ from __future__ import annotations
 import gzip
 import logging
 import os
+import zlib
 from collections import Counter, defaultdict
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -202,7 +203,10 @@ def _start_events(handle) -> Iterator[tuple[str, ElementTree.Element]]:
     """
     parser = ElementTree.XMLPullParser(events=("start",))
     while data := handle.read(16 * 1024):  # the chunk size iterparse reads
-        parser.feed(data)
+        try:
+            parser.feed(data)
+        except LookupError as exc:  # the XML declaration names an unknown encoding
+            raise ElementTree.ParseError(exc) from exc
         yield from parser.read_events()
     parser.close()
     yield from parser.read_events()
@@ -263,6 +267,8 @@ class RecordStream(Iterator[MarcView]):
                 # ParseError is a SyntaxError; callers handle malformed input
                 # as ValueError.
                 raise ValueError(f"{name}: malformed MARCXML: {exc}") from exc
+            except (EOFError, zlib.error, gzip.BadGzipFile) as exc:  # cut or damaged .gz
+                raise ValueError(f"{name}: bad gzip data: {exc}") from exc
             finally:
                 if handle is not source:
                     handle.close()

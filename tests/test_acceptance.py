@@ -61,9 +61,7 @@ def published_ratio_consistent(d, r, ratio) -> bool:
 def random_distribution(rng) -> FrequencyDistribution:
     n_classes = int(rng.integers(1, 101))
     counts = rng.integers(1, 10_000, size=n_classes)
-    return FrequencyDistribution.from_counts(
-        (f"c{i}", int(c)) for i, c in enumerate(counts)
-    )
+    return FrequencyDistribution({f"c{i}": int(c) for i, c in enumerate(counts)})
 
 
 class TestCriterion1HillIdentities:
@@ -88,7 +86,7 @@ class TestCriterion1HillIdentities:
 class TestCriterion2PointChecks:
     def test_eight_four_four(self, record_property):
         record_property("criterion", "2 Eq-1 point checks on {8,4,4}")
-        dist = FrequencyDistribution.from_counts([("a", 8), ("b", 4), ("c", 4)])
+        dist = FrequencyDistribution({"a": 8, "b": 4, "c": 4})
         assert hill_diversity(dist, 1.0) == pytest.approx(2.8284, abs=1e-4)
         assert hill_diversity(dist, 2.0) == pytest.approx(2.6667, abs=1e-4)
         assert hill_diversity(dist, 0.0) == 3.0

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import functools
+import gzip
 import io
 import json
 import os
@@ -28,6 +29,7 @@ from metadiv import cli, lod
 from metadiv.accumulation import AccumulationCurve, every
 from metadiv.diversity import FrequencyDistribution, hill_diversity, richness
 from metadiv.fitting import FORMS, ModelKind, compare_models, eval_model, fit_model, fit_power_law
+from metadiv.marc import FACETS
 from metadiv.synthetic import zipf_corpus
 from metadiv.text import lexical_report, tokenize
 
@@ -651,7 +653,7 @@ class TestLod:
         assert code == cli.EXIT_OK
         [payload] = json.loads(out)
         for side, stored in (("class", "classes"), ("property", "properties")):
-            dist = FrequencyDistribution.from_counts(payload[stored].items())
+            dist = FrequencyDistribution(payload[stored])
             assert payload["derived"][side]["D"] == round(hill_diversity(dist, 1.0), 4)
             assert payload["derived"][side]["R"] == richness(dist)
             assert payload["derived"][side]["DR"] == round(
@@ -1026,6 +1028,44 @@ COUNT_REWRITES = {"none": None, "negated": negated,
                   "past-range": lambda count: count + "0" * 400,
                   "sum-past-range": lambda count: "1" + "0" * 308}
 
+# MARCXML of generated records whose text may break the XML, plain or
+# gzipped, then whole, cut short or with one bit flipped.
+marc_texts = st.text(st.sampled_from("Ab1 ,.-<&>é\t"), max_size=8)
+
+
+@st.composite
+def marc_files(draw) -> tuple[str, bytes]:
+    """(file name, bytes) of a generated MARCXML collection."""
+    records = draw(st.lists(st.builds(
+        marc_record, st.none() | st.sampled_from(["r1", "r2"]),
+        st.none() | st.text(st.sampled_from("0123456789 x"), max_size=8),
+        st.lists(marc_texts, max_size=2).map(tuple), st.lists(marc_texts, max_size=2).map(tuple),
+        st.lists(st.lists(st.tuples(st.sampled_from("axyzv6"), marc_texts), max_size=3)
+                 .map(tuple), max_size=2).map(tuple)), max_size=4))
+    data = marc_collection(*records, namespaced=draw(st.booleans()))
+    name = "catalog.xml"
+    if draw(st.booleans()):
+        data, name = gzip.compress(data, mtime=0), name + ".gz"
+    damage = draw(st.sampled_from(["none", "cut", "flip"]))
+    if damage == "cut":
+        data = data[:draw(st.integers(0, len(data) - 1))]
+    elif damage == "flip":
+        bit = draw(st.integers(0, 8 * len(data) - 1))
+        data = bytearray(data)
+        data[bit // 8] ^= 1 << bit % 8
+    return name, bytes(data)
+
+
+MARC_GZ = gzip.compress(MARC_FIXTURE, mtime=0)
+
+# Texts of a few words, or of any characters, and argv numbers in and out of range.
+lexdiv_texts = st.one_of(
+    st.lists(st.sampled_from(["the", "of", "a", "Zé", "naïve", "x1", "İstanbul", "--"]),
+             max_size=300).map(" ".join),
+    st.text(max_size=60))
+argv_ints = st.one_of(st.integers(-3, 400).map(str), st.sampled_from([BIG, "-" + BIG, "1.5", "x"]))
+argv_floats = st.one_of(st.floats().map(repr), st.sampled_from(["0", "1", "2", "1e308", BIG, "x"]))
+
 
 class TestMalformedInput:
     """Whatever a curve file or a roster holds, ``metadiv`` ends with an exit
@@ -1090,6 +1130,42 @@ class TestMalformedInput:
             header, *rows = csv.reader(io.StringIO(out))
             assert header == "host,class_D,class_R,class_DR,prop_D,prop_R,prop_DR".split(",")
             assert all(len(row) == len(header) for row in rows)
+
+    @settings(max_examples=150, deadline=None)
+    @given(marc_files(), st.sampled_from(FACETS), argv_floats, st.booleans())
+    @example(("catalog.xml.gz", MARC_GZ[:len(MARC_GZ) // 2]), "authors", "1", False)  # EOFError
+    # the first deflate block takes the reserved type 3: zlib.error
+    @example(("catalog.xml.gz", MARC_GZ[:10] + bytes([MARC_GZ[10] | 0b110]) + MARC_GZ[11:]),
+             "subjects", "1", False)
+    def test_marc(self, file, facet, order, extended):
+        name, data = file
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, name)
+            with open(path, "wb") as f:
+                f.write(data)
+            argv = ["marc", path, "--facet", facet, "--order", order]
+            code, out = run_cli(argv + (["--extended-subjects"] if extended else []))
+        assert code in (cli.EXIT_OK, cli.EXIT_INPUT, cli.EXIT_USAGE)
+        if code == cli.EXIT_OK:
+            header, *rows = csv.reader(io.StringIO(out))
+            assert header == ["year", "cum_richness", "cum_diversity"]
+            assert all(len(row) == len(header) for row in rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(lexdiv_texts, argv_ints, argv_ints, argv_floats, st.sampled_from(["csv", "json"]))
+    def test_lexdiv(self, text, every_, train, order, fmt):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "doc.txt")
+            with open(path, "w", encoding="utf-8") as f:
+                f.write(text)
+            code, out = run_cli(["lexdiv", path, "--every", every_, "--train", train,
+                                 "--order", order, "--format", fmt])
+        assert code in (cli.EXIT_OK, cli.EXIT_INPUT, cli.EXIT_USAGE)
+        if code == cli.EXIT_OK and fmt == "json":
+            assert [d["source"] for d in json.loads(out)["documents"]] == [path]
+        elif code == cli.EXIT_OK:
+            header, *rows = csv.reader(io.StringIO(out))
+            assert header == cli.LEXDIV_CSV_HEADER.split(",") and len(rows) == 2
 
 
 def golden_outputs() -> dict[str, str]:

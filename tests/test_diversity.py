@@ -24,44 +24,34 @@ counts_lists = st.lists(st.integers(min_value=1, max_value=10_000), min_size=1, 
 
 
 def dist_of(counts):
-    return FrequencyDistribution.from_counts(
-        (f"c{i}", c) for i, c in enumerate(counts)
-    )
+    return FrequencyDistribution({f"c{i}": c for i, c in enumerate(counts)})
 
 
 class TestConstruction:
-    def test_from_counts_direct(self):
-        d = FrequencyDistribution.from_counts([("a", 2), ("b", 3)])
-        assert d.counts == {"a": 2, "b": 3}
-        assert d.total == 5
-
-    def test_duplicate_labels_merge(self):
-        d = FrequencyDistribution.from_counts([("a", 1), ("a", 1)])
-        assert d.counts == {"a": 2}
-        assert d.total == 2
-
-    def test_zero_counts_dropped(self):
-        d = FrequencyDistribution.from_counts([("a", 0)])
-        assert d.counts == {}
-        assert d.total == 0
-        assert not d
-
     def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            FrequencyDistribution.from_counts([("a", -1)])
+        with pytest.raises(ValueError, match="'a'"):
+            FrequencyDistribution({"a": -1})
 
     def test_fractional_count_rejected(self):
         with pytest.raises(ValueError, match="'a'"):
-            FrequencyDistribution.from_counts([("a", 2.7)])
-        d = FrequencyDistribution.from_counts([("a", 2.0), ("b", np.int64(3))])
+            FrequencyDistribution({"a": 2.7})
+        d = FrequencyDistribution({"a": 2.0, "b": np.int64(3)})
         assert d.counts == {"a": 2, "b": 3} and d.total == 5
 
     def test_constructor_derives_total(self):
         d = FrequencyDistribution({"a": 2, "b": 1})
-        assert d == FrequencyDistribution.from_counts([("a", 2), ("b", 1)])
+        assert d.counts == {"a": 2, "b": 1}
         assert d.total == 3 and d
         assert hill_diversity(d, 1.0) == pytest.approx(3 / 2 ** (2 / 3))
         assert shannon_entropy(d) == pytest.approx(math.log(3) - 2 / 3 * math.log(2))
+
+    def test_constructor_keeps_its_own_copy(self):
+        counts = {"a": 1}
+        d = FrequencyDistribution(counts)
+        counts["b"] = 5  # the caller's dict changes after the distribution is built
+        assert d.counts == {"a": 1}
+        assert d.total == 1 and richness(d) == 1
+        assert hill_diversity(d, 1.0) == 1.0
 
     @pytest.mark.parametrize("counts", [
         pytest.param({"a": 2, "b": 0}, id="0"), pytest.param({"a": 2, "b": -1}, id="-1"),
@@ -199,7 +189,7 @@ class TestInvariants:
         d = dist_of(counts)
         labels = [f"c{i}" for i in range(len(counts))]
         rnd.shuffle(labels)
-        shuffled = FrequencyDistribution.from_counts(zip(labels, counts))
+        shuffled = FrequencyDistribution(dict(zip(labels, counts)))
         for order in (0.0, 1.0, 2.0):
             assert hill_diversity(shuffled, order) == pytest.approx(
                 hill_diversity(d, order), rel=1e-12

@@ -6,6 +6,7 @@ import gzip
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -541,6 +542,9 @@ class TestShippedData:
                        ("delay_ms", 9_223_372_035_000))),
         pytest.param('[{"name": "X", "url": "http://x/sparql", "page_size": Infinity}]',
                      "entry 0 .*infinity", id="page_size-inf"),
+        # past Python's limit on the digits of an integer read from a string
+        pytest.param('[{"name": "X", "url": "http://x/sparql", "page_size": %s}]' % ("1" * 5000),
+                     "not valid JSON: .*digits", id="page_size-5000-digits"),
     ])
     def test_malformed_roster_names_file_and_entry(self, tmp_path, entries, problem):
         path = tmp_path / "roster.json"
@@ -568,6 +572,7 @@ class _SparqlHandler(BaseHTTPRequestHandler):
     # second, "short" half its Content-Length, "not-json" an HTML page and
     # "gzip" a compressed body.
     mode = ""
+    retyped: tuple = ()  # (variable, JSON value): every cell of that variable holds the value
     seen: list = []  # (command, path, headers) of every request
 
     def _respond(self, query: str) -> None:
@@ -587,6 +592,10 @@ class _SparqlHandler(BaseHTTPRequestHandler):
             {var: {"type": "uri", "value": value} for var, value in row.items()}
             for row in result.rows
         ]
+        if self.retyped:
+            var, value = self.retyped
+            for binding in bindings:
+                binding[var]["value"] = value
         body = json.dumps({"results": {"bindings": bindings}}).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/sparql-results+json")
@@ -623,6 +632,7 @@ def loopback_endpoint():
     thread.start()
     _SparqlHandler.fail_next = []
     _SparqlHandler.mode = ""
+    _SparqlHandler.retyped = ()
     _SparqlHandler.seen = []
     yield f"http://127.0.0.1:{server.server_address[1]}/sparql"
     server.shutdown()
@@ -689,6 +699,15 @@ class TestHttpTransport:
     def test_non_json_body_is_protocol_error(self, loopback_endpoint):
         _SparqlHandler.mode = "not-json"
         with pytest.raises(ProtocolError):
+            HttpTransport().select(loopback_endpoint, CLASS_COUNT_QUERY, timeout=5.0)
+
+    # SPARQL 1.1 Query Results JSON (section 3.2.2) makes every "value" a string.
+    @pytest.mark.parametrize("var, value", [("count", 5.5), ("count", True), ("count", None),
+                                            ("count", [1]), ("class", None)],
+                             ids=["count-5.5", "count-true", "count-null", "count-list", "class-null"])
+    def test_non_string_value_is_protocol_error(self, loopback_endpoint, var, value):
+        _SparqlHandler.retyped = (var, value)
+        with pytest.raises(ProtocolError, match=re.escape(loopback_endpoint)):
             HttpTransport().select(loopback_endpoint, CLASS_COUNT_QUERY, timeout=5.0)
 
     def test_no_content_is_endpoint_error(self, loopback_endpoint):

@@ -228,6 +228,30 @@ class TestSourcePaths:
         with pytest.raises(ValueError, match=re.escape(f"{path}: malformed MARCXML")):
             list(parse_records(os.fsencode(path)))
 
+    def test_unknown_encoding_is_malformed(self, tmp_path):
+        path = tmp_path / "records.xml"
+        path.write_bytes(marc_collection(marc_record("r1", "850315")).replace(b"UTF-8", b"U8F-8"))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: malformed MARCXML: unknown")):
+            list(parse_records(path))
+
+    # Damage that gzip or zlib finds before the XML parser sees a byte of it
+    @pytest.mark.parametrize("damage", ["truncated", "block-type", "crc", "not-gzip"])
+    def test_damaged_gzip_file_named_by_its_path(self, tmp_path, damage):
+        xml = marc_collection(*(marc_record(f"r{i}", "850315") for i in range(200)))
+        data = bytearray(gzip.compress(xml))
+        if damage == "truncated":
+            del data[len(data) // 2:]
+        elif damage == "block-type":
+            data[10] |= 0b110  # the first deflate block takes the reserved type 3
+        elif damage == "crc":
+            data[-8] ^= 1
+        else:
+            data = xml
+        path = tmp_path / "records.xml.gz"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: bad gzip data: ")):
+            list(parse_records(path))
+
 
 class TestStreamingMemory:
     @pytest.mark.parametrize("shape", ["collection", "container", "oai"])
