@@ -28,6 +28,11 @@ def dist_of(counts):
 
 
 class TestConstruction:
+    def test_from_counts_direct(self):
+        d = FrequencyDistribution({"a": 2, "b": 3})
+        assert d.counts == {"a": 2, "b": 3}
+        assert d.total == 5
+
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError, match="'a'"):
             FrequencyDistribution({"a": -1})
