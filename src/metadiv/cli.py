@@ -9,25 +9,48 @@ quoted (RFC 4180) only when it contains a comma, a quote or a line break.
 This module writes every stdout byte: the library's result objects carry
 numbers, and the printers below choose the fields and their precision.
 Exit codes: 0 success, 1 input error, 2 transport error, 64 usage error.
+Each subcommand imports only its own layers; names bound on first use
+(``_LAZY``) are attributes of this module all the same.
 Run it as ``metadiv`` once installed, or as ``python -m metadiv.cli``.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from typing import TYPE_CHECKING
 
 from .accumulation import AccumulationCurve, every
 from .diversity import _check_order
 from .fitting import FitResult, ModelKind, compare_models, fit_model, fit_power_law
-from .lod import HarvestError, LodProfile, SparqlClient, SparqlTransport, load_roster, profile
-from .marc import FACETS, facet_series, parse_records
 from .text import DEFAULT_TRAIN_LIMIT, LexicalReport, lexical_report, pearson_r, tokenize
 
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
+
+    from .lod import HarvestError, LodProfile, SparqlClient, SparqlTransport, load_roster, profile
+    from .marc import facet_series, parse_records
+
 __all__ = ["main", "console_main"]
+
+# Name -> module it comes from, bound on first use so that a cold start imports
+# no layer it does not run.  Each name resolves on this module before any run;
+# a replacement set here (a test's patch, a tracing wrapper) is never overwritten.
+_LAZY = {
+    "parse_records": ".marc",
+    "facet_series": ".marc",
+    "HarvestError": ".lod",
+    "SparqlClient": ".lod",
+    "load_roster": ".lod",
+    "profile": ".lod",
+    "ThreadPoolExecutor": "concurrent.futures",
+}
+
+# marc.FACETS, which a test pins: the parser needs them without the MARC layer.
+FACETS = ("authors", "subjects", "subdivisions")
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -35,6 +58,21 @@ EXIT_TRANSPORT = 2
 EXIT_USAGE = 64
 
 LEXDIV_CSV_HEADER = "source,tokens,types,observed_D,extrapolated_D,C,alpha"
+
+
+def _bind(module_name: str) -> None:
+    """Bind the lazy names of one module; a name already set here stays."""
+    module = importlib.import_module(module_name, __package__)
+    for name, source in _LAZY.items():
+        if source == module_name:
+            globals().setdefault(name, getattr(module, name))
+
+
+def __getattr__(name: str):  # PEP 562: only names not bound yet get here
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(_LAZY[name])
+    return globals()[name]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -236,6 +274,7 @@ def _run_fit(args, transport) -> None:
 
 
 def _run_marc(args, transport) -> None:
+    _bind(".marc")
     stream = parse_records(args.files, extended_subjects=args.extended_subjects)
     series = facet_series(stream, args.facet, args.order)
     lines = ["year,cum_richness,cum_diversity"]
@@ -252,7 +291,18 @@ def _run_marc(args, transport) -> None:
     sys.stderr.write(json.dumps(quality) + "\n")
 
 
-def _run_lod(args, transport) -> None:
+def _run_lod(args, transport) -> int | None:
+    _bind(".lod")
+    _bind("concurrent.futures")
+    try:
+        _profile_roster(args, transport)
+    except HarvestError as exc:  # caught here: main never loads the LOD layer
+        sys.stderr.write(f"transport error: {exc}\n")
+        return EXIT_TRANSPORT
+    return None
+
+
+def _profile_roster(args, transport) -> None:
     roster = load_roster(args.roster)
     if args.endpoint is not None:
         roster = [cfg for cfg in roster if cfg.name == args.endpoint]
@@ -301,14 +351,11 @@ def main(argv=None, transport: SparqlTransport | None = None) -> int:
     except SystemExit as exc:  # --help or a usage error
         return int(exc.code or 0)
     try:
-        args.func(args, transport)
-    except HarvestError as exc:
-        sys.stderr.write(f"transport error: {exc}\n")
-        return EXIT_TRANSPORT
+        code = args.func(args, transport)  # a runner returns a code only on failure
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT
-    return EXIT_OK
+    return EXIT_OK if code is None else code
 
 
 def console_main() -> None:

@@ -39,20 +39,17 @@ class FrequencyDistribution:
     """Immutable label -> count multiset with a derived total.
 
     The constructor keeps its own copy of ``counts``, in which every count
-    must be a whole number >= 1 (any other count raises ``ValueError``), and
-    ``total`` is the sum of the counts.
+    must be a whole number >= 1 (any other count, a string or a bool
+    included, raises ``ValueError``) and is stored as an ``int``; ``total``
+    is the sum of the counts.
     """
 
     counts: Mapping[str, int] = field(default_factory=dict)
     total: int = field(init=False)
 
     def __post_init__(self) -> None:
-        counts = dict(self.counts)
-        v = np.fromiter(counts.values(), dtype=float, count=len(counts))
-        bad = np.flatnonzero((v < 1) | (v % 1 != 0))
-        if bad.size:
-            label, count = list(counts.items())[bad[0]]
-            raise ValueError(f"every count must be >= 1 and whole, got {count} for {label!r}")
+        counts = {label: count if type(count) is int and count >= 1  # the common case, fast
+                  else _whole_count(label, count) for label, count in self.counts.items()}
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "total", sum(counts.values()))
 
@@ -68,6 +65,15 @@ class FrequencyDistribution:
         """Relative abundances p_n = count_n / total."""
         counts = np.fromiter(self.counts.values(), dtype=float, count=len(self.counts))
         return counts / float(self.total)
+
+
+def _whole_count(label: str, count) -> int:
+    try:  # a bool would pass as the count 1
+        if not isinstance(count, (bool, np.bool_)) and count >= 1 and count % 1 == 0:
+            return int(count)
+    except TypeError:  # a string, None or other non-number
+        pass
+    raise ValueError(f"every count must be >= 1 and whole, got {count!r} for {label!r}")
 
 
 def _check_order(order: float) -> float:

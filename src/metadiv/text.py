@@ -9,7 +9,6 @@ the diversity growth, so texts of different lengths can be compared.
 from __future__ import annotations
 
 import re
-import statistics
 import unicodedata
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
@@ -121,5 +120,7 @@ def pearson_r(xs: Sequence[float], ys: Sequence[float]) -> float:
 
     Raises ``ValueError`` for unequal lengths, n < 2 or a constant sequence.
     """
+    import statistics  # imported here: no other command needs it at start-up
+
     r = statistics.correlation(xs, ys)
     return max(-1.0, min(1.0, r))  # rounding can carry |r| past 1

@@ -43,6 +43,16 @@ class TestConstruction:
         d = FrequencyDistribution({"a": 2.0, "b": np.int64(3)})
         assert d.counts == {"a": 2, "b": 3} and d.total == 5
 
+    @pytest.mark.parametrize("count", ["3", True, np.True_], ids=repr)
+    def test_non_number_count_rejected(self, count):
+        with pytest.raises(ValueError, match="'a'"):
+            FrequencyDistribution({"a": count})
+
+    def test_counts_stored_as_int(self):
+        d = FrequencyDistribution({"a": 2.0, "b": np.int64(3)})
+        assert [type(c) for c in d.counts.values()] == [int, int]
+        assert type(d.total) is int
+
     def test_constructor_derives_total(self):
         d = FrequencyDistribution({"a": 2, "b": 1})
         assert d.counts == {"a": 2, "b": 1}
