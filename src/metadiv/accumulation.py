@@ -3,14 +3,17 @@
 A curve records a statistic of the first ``n`` events at a series of
 checkpoints: the number of distinct labels seen (vocabulary growth) or the
 Hill diversity of the running frequency distribution.  One pass interns the
-labels and adds their ids into a dense count vector, giving both statistics at
-each checkpoint; memory grows with the number of types, not with the stream.
+labels a block of ``_FLUSH_EVENTS`` (4,096) events at a time and adds each
+block's ids into a dense count vector, up to each checkpoint inside the block
+and then to its end, giving both statistics at each checkpoint; memory is
+O(types + 4,096), whatever the length of the stream.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import operator
 import sys
 from collections import defaultdict
 from collections.abc import Iterable, Iterator
@@ -119,7 +122,7 @@ class AccumulationCurve:
         return cls(points=tuple(points), statistic=statistic)
 
 
-_FLUSH_EVENTS = 4096  # ids reach the counts at least this often: O(types) memory
+_FLUSH_EVENTS = 4096  # events interned per block: O(types + _FLUSH_EVENTS) memory
 
 
 def every(step: int) -> range:
@@ -139,7 +142,7 @@ def _next_checkpoint(positions: Iterator[int], previous: int) -> int | None:
     if position is not None and not position > previous:
         raise ValueError(f"checkpoint {position} is below 1" if previous == 0 else
                          f"checkpoint {position} does not exceed the previous one, {previous}")
-    return position
+    return None if position is None else operator.index(position)  # curves store it as n
 
 
 def growth_curves(events: Iterable[str], checkpoints: Iterable[int],
@@ -154,7 +157,10 @@ def growth_curves(events: Iterable[str], checkpoints: Iterable[int],
 
     Labels get ids in first-seen order, so ``counts[:R]`` lists the per-type
     counts as a label -> count dict iterates them: the Hill sum adds the same
-    terms in the same order as a from-scratch count of the prefix.
+    terms in the same order as a from-scratch count of the prefix.  The ids
+    are read a block of ``_FLUSH_EVENTS`` events at a time, and the type
+    count k events into a block is one more than the largest id among them
+    (or the count before the block, if larger).  Memory is O(types + 4,096).
     """
     order = _check_order(order)
     ids: defaultdict[str, int] = defaultdict(count().__next__)  # a new label gets the next id
@@ -163,21 +169,26 @@ def growth_curves(events: Iterable[str], checkpoints: Iterable[int],
     types, hills = [], []  # (n, value) rows
     positions = iter(checkpoints)
     target = _next_checkpoint(positions, 0)
-    n = 0
+    n = r = 0  # events and types before the block
     while True:
-        stop = n + _FLUSH_EVENTS if target is None else min(target, n + _FLUSH_EVENTS)
-        chunk = list(map(ids.__getitem__, islice(stream, stop - n)))
-        n += len(chunk)
-        r = len(ids)
-        if r > counts.size:
-            counts = np.concatenate((counts, np.zeros(r)))
-        np.add.at(counts, np.array(chunk, dtype=np.intp), 1.0)
-        ended = n < stop
-        if n == target or (ended and n > 0 and (not types or types[-1][0] != n)):
-            types.append((n, float(r)))
-            hills.append((n, hill_from_probabilities(counts[:r] / n, order)))
+        block = np.fromiter(map(ids.__getitem__, islice(stream, _FLUSH_EVENTS)), np.intp)
+        if len(ids) > counts.size:
+            counts = np.concatenate((counts, np.zeros(len(ids))))
+        seen = np.maximum.accumulate(block)  # ids are first-seen: seen[k-1] + 1 types by k
+        done = 0  # events of the block already in the counts
+        while target is not None and target - n <= block.size:
+            k = target - n
+            np.add.at(counts, block[done:k], 1.0)  # whole numbers: exact in any order
+            done, r = k, max(r, int(seen[k - 1]) + 1)
+            types.append((target, float(r)))
+            hills.append((target, hill_from_probabilities(counts[:r] / target, order)))
             target = _next_checkpoint(positions, target)
-        if ended:
+        np.add.at(counts, block[done:], 1.0)
+        n, r = n + block.size, len(ids)
+        if block.size < _FLUSH_EVENTS:  # the stream has ended
+            if n > 0 and (not types or types[-1][0] != n):
+                types.append((n, float(r)))
+                hills.append((n, hill_from_probabilities(counts[:r] / n, order)))
             return AccumulationCurve(tuple(types), "type-count"), AccumulationCurve(tuple(hills))
 
 

@@ -84,7 +84,10 @@ def _check_order(order: float) -> float:
 
 
 def _entropy_from_probabilities(p: np.ndarray) -> float:
-    return float(-(p * np.log(p)).sum())
+    # -(p * np.log(p)).sum(): the same ufuncs in the same order, in one buffer
+    terms = np.log(p)
+    np.multiply(p, terms, out=terms)
+    return float(-np.add.reduce(terms))
 
 
 def hill_from_probabilities(p: np.ndarray, order: float) -> float:

@@ -293,7 +293,7 @@ def _counts_from_rows(
     rows: Iterable[dict[str, str]], key_var: str
 ) -> FrequencyDistribution:
     counts: dict[str, int] = {}
-    total = 0  # FrequencyDistribution takes the counts and their sum as floats
+    total = 0  # kept in float range: probabilities() divides by float(total)
     for row in rows:
         try:
             key = row[key_var]

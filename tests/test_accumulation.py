@@ -216,6 +216,22 @@ class TestGrowthKernel:
         assert types.points == from_scratch(events, schedule, None)
         assert hills.points == from_scratch(events, schedule, order)
 
+    @pytest.mark.parametrize("length", [8192, 8193])
+    @pytest.mark.parametrize("order", [None, 1.0, 2.0])
+    def test_block_edges_at_the_real_flush_size(self, length, order):
+        """Checkpoints on both sides of each block edge, new types at the edge too."""
+        assert accumulation._FLUSH_EVENTS == 4096
+        rng = np.random.default_rng(11)
+        events = [f"w{i}" for i in rng.zipf(1.3, size=length)]
+        events[4095], events[4096] = "last-of-block", "first-of-block"
+        schedule = [1, 4095, 4096, 4097, 8192, length + 1]
+        if order is None:
+            curve = vocabulary_growth(iter(events), schedule)
+        else:
+            curve = diversity_growth(iter(events), schedule, order)
+        assert curve.points == from_scratch(events, schedule, order)
+        assert [n for n, _ in curve.points] == [1, 4095, 4096, 4097, 8192, 8193][:len(curve)]
+
     @pytest.mark.parametrize("grow", [vocabulary_growth, diversity_growth, growth_curves])
     def test_memory_independent_of_stream_length(self, grow):
         labels = [f"w{i}" for i in range(1000)]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import py_compile
 from pathlib import Path
 
 import pytest
@@ -35,3 +36,16 @@ def test_summary_reproduces_committed_workloads(path):
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
     bench = json.loads(path.read_text())
     assert _load_bench_pairs().summarize(bench["raw"], better) == bench["workloads"]
+
+
+def test_bytecode_state_names_modules_without_fresh_cache(tmp_path, monkeypatch):
+    package = tmp_path / "src" / "metadiv"
+    package.mkdir(parents=True)
+    for name in ("fresh.py", "edited.py", "never.py"):
+        (package / name).write_text("X = 1\n")
+    for name in ("fresh.py", "edited.py"):
+        py_compile.compile(str(package / name), doraise=True)
+    (package / "edited.py").write_text("X = 22\n")  # another size: the header no longer matches
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    assert _load_bench_pairs().bytecode_state(str(tmp_path)) == {
+        "PYTHONDONTWRITEBYTECODE": "1", "stale_modules": ["edited.py", "never.py"]}

@@ -5,9 +5,12 @@ from __future__ import annotations
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from metadiv import cli
+from metadiv.accumulation import every, vocabulary_growth
+from metadiv.text import tokenize
 
 from .conftest import marc_collection, marc_record
 
@@ -54,3 +57,30 @@ def test_traced_marc_run_prints_what_an_untraced_run_prints(tmp_path, capsys):
         '{"records": 3, "skipped": 1, "missing_year": 1, "mu": 2.0, '
         '"structured_headings": 1, "split_headings": 1}')
     assert (tracer.counters["marc.records"], tracer.counters["marc.skipped"]) == (3, 1)
+
+
+def test_traced_lexdiv_counts_every_hill_sum(tmp_path, capsys):
+    # ``diversity.hill`` wraps ``hill_from_probabilities`` where the growth
+    # kernel looks it up, in ``metadiv.accumulation``.  A kernel that bound
+    # the function at import would run unwrapped and leave both counts at 0.
+    rng = np.random.default_rng(5)
+    words = [f"word{chr(97 + i % 26)}{chr(97 + i // 26)}" for i in range(300)]
+    texts = [" ".join(words[i] for i in rng.zipf(1.4, size=size) if i < 300)
+             for size in (900, 1500)]
+    paths = []
+    for i, text in enumerate(texts):
+        paths.append(tmp_path / f"doc{i}.txt")
+        paths[-1].write_text(text, encoding="utf-8")
+    argv = ["lexdiv", *map(str, paths), "--every", "25"]
+    assert cli.main(argv) == cli.EXIT_OK
+    plain = capsys.readouterr()
+    tracer = SPANS.Tracer()
+    with SPANS.instrument(tracer) as missing:
+        assert cli.main(argv) == cli.EXIT_OK
+    traced = capsys.readouterr()
+    assert not missing
+    assert (traced.out, traced.err) == (plain.out, plain.err)
+    curves = [vocabulary_growth(tokenize(text), every(25)) for text in texts]
+    hill_spans = [span for span in tracer.spans if span[0] == "diversity.hill"]
+    assert len(hill_spans) == sum(map(len, curves)) > 0
+    assert tracer.counters["diversity.hill_classes"] == sum(c.values.sum() for c in curves)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from metadiv.diversity import (
     ORDER_ONE_NEAR,
     FrequencyDistribution,
+    _entropy_from_probabilities,
     diversity_richness_ratio,
     hill_diversity,
     hill_from_probabilities,
@@ -115,6 +116,15 @@ class TestShannonEntropy:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             shannon_entropy(FrequencyDistribution())
+
+    @settings(max_examples=300)
+    @given(st.lists(st.floats(min_value=1e-300, max_value=1.0), min_size=1, max_size=600))
+    def test_one_buffer_sum_is_bit_identical(self, values):
+        # Lengths up to 600 cross both block sizes of numpy's pairwise sum (8 and 128).
+        p = np.array(values)
+        entropy = _entropy_from_probabilities(p)
+        assert entropy.hex() == float(-(p * np.log(p)).sum()).hex()  # bits, the sign of 0 too
+        assert p.tolist() == values  # the buffer is the logarithms, not p
 
 
 class TestHillDiversity:

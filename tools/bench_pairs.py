@@ -15,7 +15,10 @@ odd pairs); every ``W:SEED`` of ``--traced`` runs once per side with
 commit.  Each run's value is the figure the run prints, its median at
 reference host speed.  The output holds, per workload and seed, every run's
 value, medians, quartiles and the pairs the change won, plus the input
-spec, the environment and the command.
+spec, the environment and the command.  Each run's raw record also notes,
+as found just before the run, ``PYTHONDONTWRITEBYTECODE`` and the
+``src/metadiv`` modules without an up-to-date ``__pycache__`` entry: a cold
+start that compiles them is slower.
 
 The output file is rewritten after every run and an existing one is
 extended, so an interrupted session resumes where it stopped and several
@@ -26,6 +29,7 @@ run length is refused.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import statistics
@@ -51,6 +55,32 @@ def run_benchmark(checkout: str, workload: str, seed: int, seconds: int,
                                 f"{workload}-seed{seed}-trace{trace}.json")
     with open(details_path, encoding="utf-8") as f:
         return json.loads(lines[-1]), json.load(f)
+
+
+def _cache_is_fresh(source: str) -> bool:
+    """Whether the import system would load ``source`` from its ``__pycache__`` entry."""
+    try:
+        with open(importlib.util.cache_from_source(source), "rb") as f:
+            header = f.read(16)
+    except OSError:
+        return False
+    if len(header) < 16 or header[:4] != importlib.util.MAGIC_NUMBER:
+        return False
+    flags = int.from_bytes(header[4:8], "little")
+    if flags & 1:  # hash-based (PEP 552); bit 2 asks for the hash to be checked
+        with open(source, "rb") as f:
+            return not flags & 2 or header[8:16] == importlib.util.source_hash(f.read())
+    st = os.stat(source)
+    return header[8:16] == ((int(st.st_mtime) & 0xFFFFFFFF).to_bytes(4, "little")
+                            + (st.st_size & 0xFFFFFFFF).to_bytes(4, "little"))
+
+
+def bytecode_state(checkout: str) -> dict:
+    """Whether a run may write bytecode, and which metadiv modules it would compile."""
+    package = os.path.join(checkout, "src", "metadiv")
+    return {"PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+            "stale_modules": sorted(name for name in os.listdir(package) if name.endswith(".py")
+                                    and not _cache_is_fresh(os.path.join(package, name)))}
 
 
 def describe(values: list[float]) -> dict:
@@ -167,6 +197,7 @@ def main(argv=None) -> int:
     checkouts = {"parent": args.parent, "change": args.change}
 
     def one(side: str, workload: str, seed: int, trace: int) -> dict:
+        bytecode = bytecode_state(checkouts[side])
         result, details = run_benchmark(checkouts[side], workload, seed, seconds, trace)
         raw["environment"] = raw["environment"] or {k: details["environment"][k] for k in ENV_KEYS}
         raw["input_spec"].setdefault(f"{workload}:{seed}", details["input_spec"])
@@ -174,7 +205,8 @@ def main(argv=None) -> int:
         print(f"{workload} seed {seed} trace {trace} {side}: failed {result['failed']}"
               + ("" if value is None else f", wall_s {value:.4f}"), flush=True)
         return {"metrics": result["metrics"], "attempted": result["attempted"],
-                "failed": result["failed"], "host_speed_median": details["host_speed"]["median"]}
+                "failed": result["failed"], "host_speed_median": details["host_speed"]["median"],
+                "bytecode": bytecode}
 
     for item in args.pairs:
         workload, seed, n = item.split(":")
