@@ -230,7 +230,6 @@ class TestGrowthKernel:
         else:
             curve = diversity_growth(iter(events), schedule, order)
         assert curve.points == from_scratch(events, schedule, order)
-        assert [n for n, _ in curve.points] == [1, 4095, 4096, 4097, 8192, 8193][:len(curve)]
 
     @pytest.mark.parametrize("grow", [vocabulary_growth, diversity_growth, growth_curves])
     def test_memory_independent_of_stream_length(self, grow):
