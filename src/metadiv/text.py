@@ -12,6 +12,7 @@ import re
 import unicodedata
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import chain
 
 from .accumulation import AccumulationCurve, every, growth_curves
 from .accumulation import diversity_growth, vocabulary_growth  # noqa: F401  perfbench/spans.py wraps them here
@@ -27,7 +28,10 @@ __all__ = ["LexicalReport", "tokenize", "lexical_report", "pearson_r"]
 # pass over the text.
 _WORD = r"[\w\u0300-\u036f]+"
 _TOKEN_RE = re.compile(f"{_WORD}(?:['’-]{_WORD})*")
-_LETTER_RE = re.compile(r"[^\W\d_]", re.UNICODE)
+# Punctuation stripped off both ends of a whitespace chunk before it is taken
+# whole.  It holds no word character and no U+0300-U+036F mark, so what is
+# left of "(word)," is exactly the one match of _TOKEN_RE in it.
+_EDGE = "!\"#$%&'()*+,-./:;<=>?@[\\]^`{|}~¡¦§«¬¶·»¿‐‑‒–—―‘’‚‛“”„‟†‡•…‰′″‹›"
 
 DEFAULT_TRAIN_LIMIT = 10_000
 
@@ -60,18 +64,48 @@ def tokenize(text: str) -> tuple[str, ...]:
     """Split text into case-folded word tokens in NFC, in text order.
 
     The text is NFC-normalized first, so a word reads the same whether its
-    accents are composed or not.  Tokens must contain at least one letter
-    (bare numbers and punctuation runs are dropped); internal apostrophes
-    and hyphens are preserved.  Tokenizing the tokens again gives them back.
+    accents are composed or not, and split at whitespace.  A chunk that is
+    all letters and digits, once the punctuation at its ends is stripped, is
+    one word; any other chunk goes through the token pattern, which keeps
+    internal apostrophes and hyphens.  Tokens must contain a letter (a
+    character for which ``str.isalpha()`` is true), so bare numbers such as
+    ``1492`` or ``²`` and punctuation runs are dropped.  Tokenizing the
+    tokens again gives them back.
     """
-    words = _TOKEN_RE.findall(unicodedata.normalize("NFC", text))
-    # The letter test and casefold run once per distinct word; a dropped
-    # word maps to None (a folded word is never empty).  Case-folding can
-    # decompose a letter (ῶ folds to ω and U+0342), so the folded word is
-    # composed again.
-    fold = {word: unicodedata.normalize("NFC", word.casefold()) if _LETTER_RE.search(word)
-            else None for word in set(words)}
-    return tuple(filter(None, map(fold.__getitem__, words)))
+    chunks = unicodedata.normalize("NFC", text).split()
+    # No token spans whitespace, so each distinct chunk is tokenized once.
+    found = dict.fromkeys(chunks)
+    fold = _Fold()
+    for chunk in found:
+        word = chunk.strip(_EDGE)
+        if word.isalnum():
+            found[chunk] = fold[word]
+        else:  # None for no token, the token for one, else a tuple
+            words = tuple(filter(None, map(fold.__getitem__, _TOKEN_RE.findall(word))))
+            found[chunk] = words[0] if len(words) == 1 else words or None
+    del fold  # the tokens are in found: free the word table before the tuple grows
+    tokens = tuple(filter(None, map(found.__getitem__, chunks)))
+    if tuple not in set(map(type, found.values())):
+        return tokens
+    # Some chunk, such as "ayer—hoy", gave a tuple of two or more tokens.
+    return tuple(chain.from_iterable((t,) if type(t) is str else t for t in tokens))
+
+
+class _Fold(dict):
+    """The token of each word looked up, or None for a word without a letter.
+
+    Each distinct word is folded once, so the tokens of equal words are one
+    object, which the growth kernel's dictionary finds by identity.
+    Case-folding can decompose a letter (ῶ folds to ω and U+0342), so the
+    folded word is composed again; it is never empty.
+    """
+
+    def __missing__(self, word: str) -> str | None:
+        token = None
+        if word.isalpha() or any(map(str.isalpha, word)):
+            token = unicodedata.normalize("NFC", word.casefold())
+        self[word] = token
+        return token
 
 
 def lexical_report(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import sys
 import unicodedata
 
 import numpy as np
@@ -14,12 +15,17 @@ from metadiv.accumulation import every
 from metadiv.diversity import FrequencyDistribution, richness
 from metadiv.fitting import ModelKind
 from metadiv.synthetic import zipf_corpus, zipf_probabilities, zipf_true_diversity
-from metadiv.text import lexical_report, pearson_r, tokenize
+from metadiv.text import _EDGE, lexical_report, pearson_r, tokenize
 
-# ASCII word characters, the token joiners, whitespace, characters whose
-# casefold expands (İ ῶ ǰ ß ﬁ) or whose lower() depends on position (Σ),
-# combining marks (U+0301, U+0342) and non-ASCII digits (٣ decimal, ² not).
-_TOKENIZER_ALPHABET = "aZq09_'’- \t\nİῶǰßΣﬁ\u0301\u0342٣²"
+# ASCII word characters, the token joiners, whitespace (U+001C U+0085 U+00A0
+# U+2028 U+3000 only str.split() breaks on), characters whose casefold
+# expands (İ ῶ ǰ ß ﬁ) or whose lower() depends on position (Σ), combining
+# marks (U+0301, U+0342), digits (٣ decimal, ² not), numerals that are no
+# letter (Ⅻ ①) and one that is (五), and the edge punctuation tokenize strips.
+_TOKENIZER_ALPHABET = ("aZq09_'’- \t\n\x1c\x85\xa0\u2028\u3000İῶǰßΣﬁ\u0301\u0342٣²Ⅻ①五"
+                       + _EDGE)
+
+_WHITESPACE = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
 
 
 def _per_match_tokens(text: str) -> tuple[str, ...]:
@@ -29,7 +35,7 @@ def _per_match_tokens(text: str) -> tuple[str, ...]:
         unicodedata.normalize("NFC", m.group(0).casefold())
         for m in re.finditer(r"[\w\u0300-\u036f]+(?:['’-][\w\u0300-\u036f]+)*",
                              unicodedata.normalize("NFC", text))
-        if re.search(r"[^\W\d_]", m.group(0))
+        if any(ch.isalpha() for ch in m.group(0))
     )
 
 
@@ -44,6 +50,21 @@ class TestTokenize:
 
     def test_numbers_dropped(self):
         assert tokenize("1492") == ()
+
+    def test_a_token_needs_an_alphabetic_character(self):
+        # ² ½ ① Ⅻ are word characters but no letters; 五 is both
+        assert tokenize("² ½ ① Ⅻ 1492 1.5 10,000") == ()
+        assert tokenize("五 x² Ⅻa") == ("五", "x²", "ⅻa")
+
+    def test_several_tokens_in_one_chunk(self):
+        assert tokenize("ayer—hoy, y/o 7-a 1.5x") == ("ayer", "hoy", "y", "o", "7-a", "5x")
+
+    @pytest.mark.parametrize("space", _WHITESPACE, ids=lambda ch: f"U+{ord(ch):04X}")
+    def test_every_whitespace_character_separates_tokens(self, space):
+        assert tokenize(f"Ab{space}cd") == ("ab", "cd")
+
+    def test_edge_punctuation_holds_no_token_character(self):
+        assert not [ch for ch in _EDGE if re.fullmatch(r"[\w\u0300-\u036f]", ch)]
 
     def test_internal_apostrophe_and_hyphen_kept(self):
         assert tokenize("the well-known d'Artagnan") == (

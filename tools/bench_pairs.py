@@ -18,7 +18,10 @@ value, medians, quartiles and the pairs the change won, plus the input
 spec, the environment and the command.  Each run's raw record also notes,
 as found just before the run, ``PYTHONDONTWRITEBYTECODE`` and the
 ``src/metadiv`` modules without an up-to-date ``__pycache__`` entry: a cold
-start that compiles them is slower.
+start that compiles them is slower.  So a pair, or a traced item, is refused
+while a module present on both sides would load from ``__pycache__`` on one
+side and be compiled on the other; compiling both checkouts
+(``python3 -m compileall -q src``) evens them.
 
 The output file is rewritten after every run and an existing one is
 extended, so an interrupted session resumes where it stopped and several
@@ -81,6 +84,16 @@ def bytecode_state(checkout: str) -> dict:
     return {"PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
             "stale_modules": sorted(name for name in os.listdir(package) if name.endswith(".py")
                                     and not _cache_is_fresh(os.path.join(package, name)))}
+
+
+def mixed_bytecode(parent: str, change: str) -> list[str]:
+    """``src/metadiv`` modules on both sides that only one side would compile."""
+    modules, stale = [], []
+    for checkout in (parent, change):
+        package = os.path.join(checkout, "src", "metadiv")
+        modules.append({name for name in os.listdir(package) if name.endswith(".py")})
+        stale.append(set(bytecode_state(checkout)["stale_modules"]))
+    return sorted(modules[0] & modules[1] & (stale[0] ^ stale[1]))
 
 
 def describe(values: list[float]) -> dict:
@@ -208,10 +221,17 @@ def main(argv=None) -> int:
                 "failed": result["failed"], "host_speed_median": details["host_speed"]["median"],
                 "bytecode": bytecode}
 
+    def check_bytecode(item: str) -> None:
+        mixed = mixed_bytecode(args.parent, args.change)
+        if mixed:
+            raise SystemExit(f"{parser.prog}: refusing {item}: {', '.join(mixed)} would load "
+                             "from __pycache__ on one side and be compiled on the other")
+
     for item in args.pairs:
         workload, seed, n = item.split(":")
         runs = raw["pairs"].setdefault(f"{workload}:{seed}", [])
         while len(runs) < int(n):
+            check_bytecode(item)
             order = SIDES if len(runs) % 2 == 0 else SIDES[::-1]  # parent first in odd pairs
             pair = {}
             for side in order:
@@ -221,6 +241,8 @@ def main(argv=None) -> int:
     for item in args.traced:
         workload, seed = item.split(":")
         sides = raw["traced"].setdefault(f"{workload}:{seed}", {})
+        if len(sides) < len(SIDES):
+            check_bytecode(item)
         for side in SIDES:
             if side not in sides:
                 sides[side] = one(side, workload, int(seed), 1)
