@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import chain
+from functools import partial
+from itertools import chain, filterfalse
 
 from .accumulation import AccumulationCurve, every, growth_curves
 from .accumulation import diversity_growth, vocabulary_growth  # noqa: F401  perfbench/spans.py wraps them here
@@ -32,6 +33,11 @@ _TOKEN_RE = re.compile(f"{_WORD}(?:['’-]{_WORD})*")
 # whole.  It holds no word character and no U+0300-U+036F mark, so what is
 # left of "(word)," is exactly the one match of _TOKEN_RE in it.
 _EDGE = "!\"#$%&'()*+,-./:;<=>?@[\\]^`{|}~¡¦§«¬¶·»¿‐‑‒–—―‘’‚‛“”„‟†‡•…‰′″‹›"
+
+# tokenize splits the text this many characters at a time, extended to the
+# next whitespace, which _SPACE_RE finds: its \s is exactly str.isspace().
+_BLOCK_CHARS = 32 * 1024
+_SPACE_RE = re.compile(r"\s")
 
 DEFAULT_TRAIN_LIMIT = 10_000
 
@@ -64,42 +70,70 @@ def tokenize(text: str) -> tuple[str, ...]:
     """Split text into case-folded word tokens in NFC, in text order.
 
     The text is NFC-normalized first, so a word reads the same whether its
-    accents are composed or not, and split at whitespace.  A chunk that is
-    all letters and digits, once the punctuation at its ends is stripped, is
-    one word; any other chunk goes through the token pattern, which keeps
-    internal apostrophes and hyphens.  Tokens must contain a letter (a
-    character for which ``str.isalpha()`` is true), so bare numbers such as
-    ``1492`` or ``²`` and punctuation runs are dropped.  Tokenizing the
-    tokens again gives them back.
+    accents are composed or not, and split at whitespace one block of about
+    ``_BLOCK_CHARS`` characters at a time; a block ends at whitespace, so no
+    chunk is cut.  Each distinct chunk is tokenized once, in the block where
+    it first appears.  A chunk that is all letters and digits, once the
+    punctuation at its ends is stripped, is one word; any other chunk goes
+    through the token pattern, which keeps internal apostrophes and
+    hyphens.  Tokens must contain a letter (a character for which
+    ``str.isalpha()`` is true), so bare numbers such as ``1492`` or ``²``
+    and punctuation runs are dropped.  A word that case-folding leaves as
+    it is is its own token.  Tokenizing the tokens again gives them back.
+
+    Only one block's chunk strings are held at a time, beside one string
+    per distinct chunk in the table, so what grows with the length of the
+    text is the text itself and the token tuple.
     """
-    chunks = unicodedata.normalize("NFC", text).split()
+    text = unicodedata.normalize("NFC", text)
+    # The token of each distinct chunk (None for no token, the token for one,
+    # else a tuple of them), the chunks that hold two or more tokens, and the
+    # word table are kept across blocks.
+    block_tokens = partial(_block_tokens, {}, set(), _Fold())
+    return tuple(chain.from_iterable(map(block_tokens, _blocks(text))))
+
+
+def _blocks(text: str) -> Iterator[str]:
+    """The text cut at the first whitespace at or after every ``_BLOCK_CHARS`` characters."""
+    start = 0
+    while start < len(text):
+        space = _SPACE_RE.search(text, start + _BLOCK_CHARS)
+        end = space.start() if space else len(text)
+        yield text[start:end]
+        start = end
+
+
+def _block_tokens(found: dict[str, str | tuple[str, ...] | None], several: set[str],
+                  fold: _Fold, block: str) -> Iterable[str]:
+    """The tokens of one block, tokenizing the chunks not yet in ``found``."""
+    chunks = block.split()
     # No token spans whitespace, so each distinct chunk is tokenized once.
-    found = dict.fromkeys(chunks)
-    fold = _Fold()
-    several = False  # whether a chunk, such as "ayer—hoy", holds two or more tokens
-    for chunk in found:
+    # Text order reads the chunks where split() wrote them; a set's hash
+    # order made tokenize about 10 % slower.
+    for chunk in filterfalse(found.__contains__, dict.fromkeys(chunks)):
         word = chunk.strip(_EDGE)
         if word.isalnum():
             found[chunk] = fold[word]
-        else:  # None for no token, the token for one, else a tuple
+        else:
             words = tuple(filter(None, map(fold.__getitem__, _TOKEN_RE.findall(word))))
             found[chunk] = words[0] if len(words) == 1 else words or None
-            several = several or len(words) > 1
-    del fold  # the tokens are in found: free the word table before the tuple grows
-    tokens = tuple(filter(None, map(found.__getitem__, chunks)))
-    if several:
-        # Flattening costs a step per token, so text without such chunks skips it.
-        tokens = tuple(chain.from_iterable((t,) if type(t) is str else t for t in tokens))
-    return tokens
+            if len(words) > 1:  # such as "ayer—hoy"
+                several.add(chunk)
+    tokens = filter(None, map(found.__getitem__, chunks))
+    if several.isdisjoint(chunks):
+        return tokens
+    # Flattening costs a step per token, so only blocks with such a chunk take it.
+    return chain.from_iterable((t,) if type(t) is str else t for t in tokens)
 
 
 class _Fold(dict):
     """The token of each word looked up, or None for a word without a letter.
 
     Each distinct word is folded once, so the tokens of equal words are one
-    object, which the growth kernel's dictionary finds by identity.
-    Case-folding can decompose a letter (ῶ folds to ω and U+0342), so the
-    folded word is composed again; it is never empty.
+    object, which the growth kernel's dictionary finds by identity.  A word
+    that case-folding and NFC leave unchanged is its own token, so no equal
+    copy is kept.  Case-folding can decompose a letter (ῶ folds to ω and
+    U+0342), so the folded word is composed again; it is never empty.
     """
 
     def __missing__(self, word: str) -> str | None:
@@ -108,6 +142,8 @@ class _Fold(dict):
         # 70 ms tokenize takes on the lexdiv-zipf texts.
         if word.isalpha() or any(map(str.isalpha, word)):
             token = unicodedata.normalize("NFC", word.casefold())
+            if token == word:
+                token = word
         self[word] = token
         return token
 

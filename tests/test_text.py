@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import random
 import re
 import sys
+import tracemalloc
 import unicodedata
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +18,8 @@ from metadiv.accumulation import every
 from metadiv.diversity import FrequencyDistribution, richness
 from metadiv.fitting import ModelKind
 from metadiv.synthetic import zipf_corpus, zipf_probabilities, zipf_true_diversity
-from metadiv.text import _EDGE, lexical_report, pearson_r, tokenize
+import metadiv.text
+from metadiv.text import _BLOCK_CHARS, _EDGE, _SPACE_RE, _Fold, lexical_report, pearson_r, tokenize
 
 # ASCII word characters, the token joiners, whitespace (U+001C U+0085 U+00A0
 # U+2028 U+3000 only str.split() breaks on), characters whose casefold
@@ -61,7 +65,48 @@ class TestTokenize:
 
     @pytest.mark.parametrize("space", _WHITESPACE, ids=lambda ch: f"U+{ord(ch):04X}")
     def test_every_whitespace_character_separates_tokens(self, space):
-        assert tokenize(f"Ab{space}cd") == ("ab", "cd")
+        # The block end search starts before, at and past the space, or the
+        # whole text is one block.
+        for block_chars in (1, 2, 3, _BLOCK_CHARS):
+            with mock.patch.object(metadiv.text, "_BLOCK_CHARS", block_chars):
+                assert tokenize(f"Ab{space}cd") == ("ab", "cd")
+
+    def test_block_ends_are_found_at_every_whitespace_character(self):
+        every_code_point = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert _SPACE_RE.findall(every_code_point) == _WHITESPACE
+
+    @given(st.text(alphabet=_TOKENIZER_ALPHABET, max_size=200), st.integers(1, 8))
+    def test_blocks_give_the_tokens_of_the_whole_text(self, text, block_chars):
+        whole = tokenize(text)
+        with mock.patch.object(metadiv.text, "_BLOCK_CHARS", block_chars):
+            assert tokenize(text) == whole == _per_match_tokens(text)
+
+    @pytest.mark.parametrize("block_chars, text, tokens", [
+        pytest.param(2, "a " + "x" * 20 + "-yz b", ("a", "x" * 20 + "-yz", "b"),
+                     id="chunk-over-many-blocks"),
+        pytest.param(2, "Hola—mundo,adiós", ("hola", "mundo", "adiós"), id="no-whitespace"),
+        pytest.param(4, "el ayer—hoy de", ("el", "ayer", "hoy", "de"), id="block-edge-inside-chunk"),
+        pytest.param(1, "ayer—hoy y ayer—hoy", ("ayer", "hoy", "y", "ayer", "hoy"),
+                     id="two-token-chunk-again-in-a-later-block"),
+        pytest.param(3, unicodedata.normalize("NFD", "Ñandú comió piñones"),
+                     ("ñandú", "comió", "piñones"), id="nfd"),
+    ])
+    def test_block_edges(self, block_chars, text, tokens):
+        with mock.patch.object(metadiv.text, "_BLOCK_CHARS", block_chars):
+            assert tokenize(text) == tokens
+
+    def test_equal_words_in_different_blocks_are_one_object(self):
+        with mock.patch.object(metadiv.text, "_BLOCK_CHARS", 1):
+            tokens = tokenize("hola Hola hola, (hola) Hola")
+        assert tokens == ("hola",) * 5
+        assert tokens[0] is tokens[2] is tokens[3]
+        assert tokens[1] is tokens[4]
+
+    def test_an_already_folded_word_is_its_own_token(self):
+        word = "".join(["ho", "la"])  # not the interned literal
+        fold = _Fold()
+        assert fold[word] is word
+        assert fold["Hola"] == word and fold["Hola"] is not word
 
     def test_edge_punctuation_holds_no_token_character(self):
         assert not [ch for ch in _EDGE if re.fullmatch(r"[\w\u0300-\u036f]", ch)]
@@ -118,6 +163,31 @@ class TestTokenize:
         tokens = tokenize(text)
         dist = FrequencyDistribution.from_events(tokens)
         assert len(set(tokens)) == richness(dist)
+
+
+class TestTokenizeMemory:
+    def test_peak_independent_of_text_length(self):
+        # 200 distinct chunks: bare, capitalized with a comma, in brackets,
+        # and two-token compounds, which take the flattening step.
+        chunks = [(f"pal{i}", f"Pal{i},", f"(pal{i})", f"ayer—pal{i}")[i % 4] for i in range(200)]
+        rng = random.Random(5)
+
+        def peak(n_chunks: int) -> int:
+            text = " ".join(rng.choices(chunks, k=n_chunks))
+            tracemalloc.start()
+            try:
+                tokens = tokenize(text)
+                # The token tuple grows with the text, over-allocated by up
+                # to a quarter while it grows.
+                return tracemalloc.get_traced_memory()[1] - 5 * sys.getsizeof(tokens) // 4
+            finally:
+                tracemalloc.stop()
+
+        # Holding a string per chunk of the whole text read 8.1 MB at 100k
+        # chunks and 16.1 MB at 200k; building a second full token tuple
+        # read 0.8 and 1.4 MB.
+        for n_chunks in (100_000, 200_000):
+            assert peak(n_chunks) < 1 << 20
 
 
 class TestLexicalReport:
