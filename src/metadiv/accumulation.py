@@ -104,11 +104,13 @@ class AccumulationCurve:
                 if len(r) < 2:
                     raise ValueError(f"row {','.join(r)!r} needs an n and a value")
                 n = int(r[0])
-                if n <= last:
-                    raise ValueError(f"n {n} is below 1" if n < 1 else
-                                     f"n {n} does not exceed the previous n {last}")
+                if n < 1:
+                    raise ValueError(f"n {n} is below 1")
                 if n > sys.float_info.max:  # ``ns`` holds it as a float
                     raise ValueError(f"n {n} is past float range")
+                if float(n) <= float(last):  # past 2**53 distinct ints can round to one float
+                    raise ValueError(f"n {n} does not exceed the previous n {last}"
+                                     + (" as a float" if n > last else ""))
                 value = float(r[1])
                 if not math.isfinite(value):
                     raise ValueError(f"value {r[1]!r} is not finite")

@@ -9,15 +9,15 @@ quoted (RFC 4180) only when it contains a comma, a quote or a line break.
 This module writes every stdout byte: the library's result objects carry
 numbers, and the printers below choose the fields and their precision.
 Exit codes: 0 success, 1 input error, 2 transport error, 64 usage error.
-Each subcommand imports only its own layers; names bound on first use
-(``_LAZY``) are attributes of this module all the same.
+Each subcommand imports its own layers when it runs; ``parse_records``,
+``facet_series`` and ``profile`` are functions of this module that import
+their layer when called.
 Run it as ``metadiv`` once installed, or as ``python -m metadiv.cli``.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib
 import json
 import os
 import sys
@@ -29,25 +29,9 @@ from .fitting import FitResult, ModelKind, compare_models, fit_model, fit_power_
 from .text import DEFAULT_TRAIN_LIMIT, LexicalReport, lexical_report, pearson_r, tokenize
 
 if TYPE_CHECKING:
-    from concurrent.futures import ThreadPoolExecutor
-
-    from .lod import HarvestError, LodProfile, SparqlClient, SparqlTransport, load_roster, profile
-    from .marc import facet_series, parse_records
+    from .lod import LodProfile, SparqlTransport
 
 __all__ = ["main", "console_main"]
-
-# Name -> module it comes from, bound on first use so that a cold start imports
-# no layer it does not run.  Each name resolves on this module before any run;
-# a replacement set here (a test's patch, a tracing wrapper) is never overwritten.
-_LAZY = {
-    "parse_records": ".marc",
-    "facet_series": ".marc",
-    "HarvestError": ".lod",
-    "SparqlClient": ".lod",
-    "load_roster": ".lod",
-    "profile": ".lod",
-    "ThreadPoolExecutor": "concurrent.futures",
-}
 
 # marc.FACETS, which a test pins: the parser needs them without the MARC layer.
 FACETS = ("authors", "subjects", "subdivisions")
@@ -60,19 +44,24 @@ EXIT_USAGE = 64
 LEXDIV_CSV_HEADER = "source,tokens,types,observed_D,extrapolated_D,C,alpha"
 
 
-def _bind(module_name: str) -> None:
-    """Bind the lazy names of one module; a name already set here stays."""
-    module = importlib.import_module(module_name, __package__)
-    for name, source in _LAZY.items():
-        if source == module_name:
-            globals().setdefault(name, getattr(module, name))
+# The layer calls a run makes through this module, so that a tracer or a test
+# can replace them here; each imports its layer only when it is called.
+def parse_records(*args, **kwargs):
+    """:func:`metadiv.marc.parse_records`."""
+    from . import marc
+    return marc.parse_records(*args, **kwargs)
 
 
-def __getattr__(name: str):  # PEP 562: only names not bound yet get here
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _bind(_LAZY[name])
-    return globals()[name]
+def facet_series(*args, **kwargs):
+    """:func:`metadiv.marc.facet_series`."""
+    from . import marc
+    return marc.facet_series(*args, **kwargs)
+
+
+def profile(*args, **kwargs):
+    """:func:`metadiv.lod.profile`."""
+    from . import lod
+    return lod.profile(*args, **kwargs)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -93,7 +82,6 @@ def build_parser() -> _Parser:
     p_lex.add_argument("--format", choices=("csv", "json"), default="csv")
     p_lex.add_argument("--curves", metavar="DIR",
                        help="also write per-document growth curves as CSV into DIR")
-    p_lex.add_argument("--output", help="write to this path instead of stdout")
     p_lex.set_defaults(func=_run_lexdiv)
 
     p_fit = sub.add_parser("fit", help="fit a growth model to a saved n,value curve")
@@ -101,7 +89,6 @@ def build_parser() -> _Parser:
     p_fit.add_argument("--model", required=True, choices=sorted(kind.value for kind in ModelKind))
     p_fit.add_argument("--train", type=int, default=None,
                        help="also rank all saturating models by holdout RMSE past this n")
-    p_fit.add_argument("--output", help="write to this path instead of stdout")
     p_fit.set_defaults(func=_run_fit)
 
     p_marc = sub.add_parser("marc", help="cumulative facet series from MARCXML catalogs")
@@ -110,16 +97,16 @@ def build_parser() -> _Parser:
     p_marc.add_argument("--order", type=float, default=1.0, help="diversity order k")
     p_marc.add_argument("--extended-subjects", action="store_true",
                         help="include 600/610/651 in addition to 650")
-    p_marc.add_argument("--output", help="write to this path instead of stdout")
     p_marc.set_defaults(func=_run_marc)
 
     p_lod = sub.add_parser("lod", help="diversity profiles of SPARQL endpoints")
     p_lod.add_argument("--roster", help="endpoint roster JSON (default: shipped roster)")
     p_lod.add_argument("--endpoint", help="profile only this endpoint name")
     p_lod.add_argument("--format", choices=("json", "csv"), default="json")
-    p_lod.add_argument("--output", help="write to this path instead of stdout")
     p_lod.set_defaults(func=_run_lod)
 
+    for p in sub.choices.values():  # the last option of every subcommand
+        p.add_argument("--output", help="write to this path instead of stdout")
     return parser
 
 
@@ -274,7 +261,6 @@ def _run_fit(args, transport) -> None:
 
 
 def _run_marc(args, transport) -> None:
-    _bind(".marc")
     stream = parse_records(args.files, extended_subjects=args.extended_subjects)
     series = facet_series(stream, args.facet, args.order)
     lines = ["year,cum_richness,cum_diversity"]
@@ -292,8 +278,8 @@ def _run_marc(args, transport) -> None:
 
 
 def _run_lod(args, transport) -> int | None:
-    _bind(".lod")
-    _bind("concurrent.futures")
+    from .lod import HarvestError
+
     try:
         _profile_roster(args, transport)
     except HarvestError as exc:  # caught here: main never loads the LOD layer
@@ -303,6 +289,10 @@ def _run_lod(args, transport) -> int | None:
 
 
 def _profile_roster(args, transport) -> None:
+    from concurrent.futures import ThreadPoolExecutor
+
+    from .lod import SparqlClient, load_roster
+
     roster = load_roster(args.roster)
     if args.endpoint is not None:
         roster = [cfg for cfg in roster if cfg.name == args.endpoint]

@@ -309,6 +309,14 @@ class TestCurveContainer:
             ("1,1.0\n1.5,2.0\n", 3, "'1.5'"),  # n not an integer
             ("0,1.0\n", 2, "n 0 is below 1"),
             ("1,1.0\n\n3,2.0\n3,4.0\n", 5, "n 3 does not exceed the previous n 3"),
+            # ``ns`` holds n as a float: 2**53 + 1 rounds down onto 2**53, and
+            # 2**53 + 3 rounds up onto 2**53 + 4
+            pytest.param("1,1\n2,2\n9007199254740992,3\n9007199254740993,4\n", 5,
+                         "n 9007199254740993 does not exceed the previous n 9007199254740992 "
+                         "as a float", id="float-tie-rounding-down"),
+            pytest.param("9007199254740995,1\n9007199254740996,2\n", 3,
+                         "n 9007199254740996 does not exceed the previous n 9007199254740995 "
+                         "as a float", id="float-tie-rounding-up"),
             pytest.param("1," + "1" * 200_000 + "\n", 2, "field larger than field limit",
                          id="csv-field-limit"),
         ],

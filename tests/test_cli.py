@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import contextlib
 import csv
 import functools
@@ -551,7 +552,7 @@ class ByUrl:
 
 
 def watch_stops(monkeypatch) -> dict[str, threading.Event]:
-    """Patches ``cli.SparqlClient`` so that stopping a client sets its URL's event."""
+    """Patches ``lod.SparqlClient`` so that stopping a client sets its URL's event."""
     stopped = {url: threading.Event() for url in THREE_GRAPHS}
 
     class Client(lod.SparqlClient):
@@ -560,7 +561,7 @@ def watch_stops(monkeypatch) -> dict[str, threading.Event]:
             if name == "stopped" and value:
                 stopped[self.cfg.url].set()
 
-    monkeypatch.setattr(cli, "SparqlClient", Client)
+    monkeypatch.setattr(lod, "SparqlClient", Client)
     return stopped
 
 
@@ -859,7 +860,7 @@ class TestLod:
     def test_no_request_behind_a_failure(self, three_roster, capsys, monkeypatch):
         monkeypatch.setattr(lod, "BACKOFF_BASE_SECONDS", 0)
         # one worker, whatever size the pool is asked for
-        monkeypatch.setattr(cli, "ThreadPoolExecutor",
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
                             lambda max_workers=None: ThreadPoolExecutor(1))
         transport = ByUrl()
         transport.routes[A_URL] = FlakyTransport(transport.routes[A_URL], failures=99)
@@ -1114,7 +1115,7 @@ class TestMalformedInput:
             transport = RewrittenCounts(transport, lod.CLASS_COUNT_QUERY, COUNT_REWRITES[rewrite])
         slept: list[float] = []  # a roster's delay is recorded, not slept
         with tempfile.TemporaryDirectory() as tmp, \
-                mock.patch.object(cli, "SparqlClient",
+                mock.patch.object(lod, "SparqlClient",
                                   functools.partial(lod.SparqlClient, sleep=slept.append)):
             path = os.path.join(tmp, "roster.json")
             with open(path, "w", encoding="utf-8") as f:
