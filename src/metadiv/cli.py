@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 
 from .accumulation import AccumulationCurve, every
 from .diversity import _check_order
-from .fitting import FitResult, ModelKind, compare_models, fit_model, fit_power_law
+from .fitting import FitResult, ModelKind, RankedModel, compare_models, fit_model, fit_power_law
 from .text import DEFAULT_TRAIN_LIMIT, LexicalReport, lexical_report, pearson_r, tokenize
 
 if TYPE_CHECKING:
@@ -78,7 +78,7 @@ def build_parser() -> _Parser:
     p_lex.add_argument("--order", type=float, default=1.0, help="diversity order k")
     p_lex.add_argument("--every", type=int, default=100, help="checkpoint spacing in tokens")
     p_lex.add_argument("--train", type=int, default=DEFAULT_TRAIN_LIMIT,
-                       help="token limit for the holdout model comparison")
+                       help="token limit for the holdout model ranking that --format json prints")
     p_lex.add_argument("--format", choices=("csv", "json"), default="csv")
     p_lex.add_argument("--curves", metavar="DIR",
                        help="also write per-document growth curves as CSV into DIR")
@@ -147,7 +147,7 @@ def _fit_fields(fit: FitResult) -> dict:
     }
 
 
-def _report_fields(report: LexicalReport) -> dict:
+def _report_fields(report: LexicalReport, ranking: list[RankedModel] | None) -> dict:
     return {
         "source": report.source_id,
         "tokens": report.n_tokens,
@@ -157,11 +157,8 @@ def _report_fields(report: LexicalReport) -> dict:
         "extrapolated_D": round(report.extrapolated_diversity, 4),
         "power_law": {k: round(v, 6) for k, v in report.power_law.params.items()},
         "m4": {k: round(v, 6) for k, v in report.saturating.params.items()},
-        "ranking": None
-        if report.ranking is None
-        else [
-            {"model": rm.kind.value, "holdout_rmse": round(rm.holdout_rmse, 6)}
-            for rm in report.ranking
+        "ranking": None if ranking is None else [
+            {"model": rm.kind.value, "holdout_rmse": round(rm.holdout_rmse, 6)} for rm in ranking
         ],
     }
 
@@ -171,9 +168,9 @@ def _profile_fields(prof: LodProfile) -> dict:
         "endpoint": prof.endpoint,
         "retrieved_at": prof.retrieved_at,
         "complete": prof.complete,
-        "classes": dict(prof.classes.counts),
-        "properties": dict(prof.properties.counts),
-        "sameas_hosts": dict(prof.sameas_hosts.counts),
+        "classes": prof.classes.counts,
+        "properties": prof.properties.counts,
+        "sameas_hosts": prof.sameas_hosts.counts,
         "derived": {
             side: {"D": round(idx.diversity, 4), "R": idx.richness, "DR": round(idx.ratio, 2)}
             for side, idx in prof.derived().items()
@@ -196,12 +193,14 @@ def _run_lexdiv(args, transport) -> None:
             first = stems.setdefault(_curve_stem(path), path)
             if first != path:
                 raise ValueError(f"--curves: {first} and {path} would write the same curve files")
-    reports = []
+    reports, rankings = [], []  # the holdout rankings only for --format json
     for path in args.files:
         try:
             with open(path, encoding="utf-8") as f:
                 tokens = tokenize(f.read())
-            reports.append(lexical_report(tokens, path, order, checkpoints, args.train))
+            reports.append(lexical_report(tokens, path, order, checkpoints))
+            if args.format == "json":
+                rankings.append(reports[-1].holdout_ranking(args.train))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
 
@@ -220,7 +219,7 @@ def _run_lexdiv(args, transport) -> None:
 
     if args.format == "json":
         payload = {
-            "documents": [_report_fields(r) for r in reports],
+            "documents": [_report_fields(r, ranking) for r, ranking in zip(reports, rankings)],
             "pearson_R": None if pearson is None else round(pearson, 4),
         }
         _write_output(_json_text(payload, ", ".join(args.files)), args.output)

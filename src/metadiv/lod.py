@@ -378,14 +378,15 @@ def _derive(dist: FrequencyDistribution) -> DerivedIndices:
     return DerivedIndices(diversity=d, richness=r, ratio=d / r)
 
 
-def _now_iso() -> str:
-    # SOURCE_DATE_EPOCH pins the timestamp for reproducible output.
+def _pinned_time() -> datetime | None:
+    """The time SOURCE_DATE_EPOCH pins for reproducible output, or None if it is unset."""
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    if epoch is not None:
-        stamp = datetime.fromtimestamp(int(epoch), tz=timezone.utc)
-    else:
-        stamp = datetime.now(tz=timezone.utc)
-    return stamp.replace(microsecond=0).isoformat()
+    if epoch is None:
+        return None
+    try:  # not an integer, past the platform's time_t, or outside years 1-9999
+        return datetime.fromtimestamp(int(epoch), tz=timezone.utc)
+    except (ValueError, OverflowError, OSError) as exc:
+        raise ValueError(f"SOURCE_DATE_EPOCH {epoch!r} is not a usable Unix time: {exc}") from exc
 
 
 @dataclass
@@ -414,7 +415,10 @@ def profile(client: SparqlClient) -> LodProfile:
     Every request goes through the one client, so its politeness delay
     separates all of them.  A failing sameAs harvest yields a partial
     profile (complete=False); class or property failures propagate.
+    A ``SOURCE_DATE_EPOCH`` that gives no time raises ``ValueError`` before
+    the first request.
     """
+    stamp = _pinned_time()
     classes = class_counts(client)
     properties = property_counts(client)
     complete = True
@@ -428,7 +432,7 @@ def profile(client: SparqlClient) -> LodProfile:
         classes=classes,
         properties=properties,
         sameas_hosts=sameas,
-        retrieved_at=_now_iso(),
+        retrieved_at=(stamp or datetime.now(tz=timezone.utc)).replace(microsecond=0).isoformat(),
         complete=complete,
     )
 

@@ -44,10 +44,11 @@ DEFAULT_TRAIN_LIMIT = 10_000
 
 @dataclass(frozen=True)
 class LexicalReport:
-    """Per-document summary: size, observed diversity, fits, model ranking.
+    """Per-document summary: size, observed diversity and fits.
 
     Values are kept unrounded; ``metadiv.cli`` chooses the printed fields
-    and their precision.
+    and their precision.  The holdout model ranking is fitted only when
+    :meth:`holdout_ranking` is called.
     """
 
     source_id: str
@@ -57,13 +58,22 @@ class LexicalReport:
     observed_diversity: float
     power_law: FitResult
     saturating: FitResult
-    ranking: list[RankedModel] | None
     vocabulary_curve: AccumulationCurve
     diversity_curve: AccumulationCurve
 
     @property
     def extrapolated_diversity(self) -> float:
         return self.saturating.params["D"]
+
+    def holdout_ranking(self, train_limit: int = DEFAULT_TRAIN_LIMIT) -> list[RankedModel] | None:
+        """``compare_models`` on the diversity curve, trained on n <= ``train_limit``.
+
+        ``None`` when the curve has too few points on either side of the limit.
+        """
+        try:
+            return compare_models(self.diversity_curve, train_limit)
+        except InsufficientDataError:
+            return None
 
 
 def tokenize(text: str) -> tuple[str, ...]:
@@ -153,27 +163,16 @@ def lexical_report(
     source_id: str,
     order: float = 1.0,
     checkpoints: Iterable[int] = every(100),
-    train_limit: int = DEFAULT_TRAIN_LIMIT,
 ) -> LexicalReport:
-    """Build the full lexical-diversity report for one document.
+    """Build the lexical-diversity report for one document.
 
     ``tokens`` may be any iterable: the growth pass reads it once, and its
     last checkpoint gives the token count.  Fits the power law to the
-    vocabulary-growth curve and the M4 model to the diversity-growth curve,
-    and includes the holdout model comparison at ``train_limit``; the
-    ranking is ``None`` when ``compare_models`` has too few points on
-    either side of the limit.
+    vocabulary-growth curve and the M4 model to the diversity-growth curve.
     """
     vocab, div = growth_curves(tokens, checkpoints, order)
     if not vocab.points:
         raise ValueError("document contains no tokens")
-
-    power = fit_power_law(vocab)
-    m4 = fit_model(div, ModelKind.M4)
-    try:
-        ranking = compare_models(div, train_limit)
-    except InsufficientDataError:
-        ranking = None
 
     return LexicalReport(
         source_id=source_id,
@@ -181,9 +180,8 @@ def lexical_report(
         n_types=int(vocab.points[-1][1]),
         order=float(order),
         observed_diversity=div.points[-1][1],
-        power_law=power,
-        saturating=m4,
-        ranking=ranking,
+        power_law=fit_power_law(vocab),
+        saturating=fit_model(div, ModelKind.M4),
         vocabulary_curve=vocab,
         diversity_curve=div,
     )

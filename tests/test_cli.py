@@ -235,12 +235,23 @@ class TestLexdiv:
         code, out, err = run_twice(["lexdiv", "zipf.txt", "--every", "20", "--train", "1500",
                                     "--format", "json"], capsys)
         assert (code, err) == (cli.EXIT_OK, "")
-        report = lexical_report(tokenize(text), "zipf.txt", 1.0, every(20), 1500)
+        report = lexical_report(tokenize(text), "zipf.txt", 1.0, every(20))
         expected = [{"model": rm.kind.value, "holdout_rmse": round(rm.holdout_rmse, 6)}
-                    for rm in report.ranking]
+                    for rm in report.holdout_ranking(1500)]
         assert sorted(entry["model"] for entry in expected) == ["m1", "m2", "m3", "m4"]
         [document] = json.loads(out)["documents"]
         assert document["ranking"] == expected
+
+    @pytest.mark.parametrize("fmt, calls", [("csv", 0), ("json", 2)])
+    def test_ranking_fitted_only_for_json(self, corpus_dir, capsys, fmt, calls):
+        # Only JSON prints the holdout ranking, so CSV fits none; both print
+        # the golden's bytes.
+        with mock.patch("metadiv.text.compare_models", wraps=compare_models) as compare:
+            code = cli.main(["lexdiv", "alpha.txt", "beta.txt", "--every", "20",
+                             "--format", fmt])
+        assert code == cli.EXIT_OK
+        assert compare.call_count == calls
+        check_golden(f"lexdiv.{fmt}", capsys.readouterr().out)
 
     def test_output_file(self, corpus_dir, capsys):
         code = cli.main(["lexdiv", "alpha.txt", "--every", "20", "--output", "report.csv"])
@@ -579,6 +590,19 @@ class TestLod:
         assert payload[0]["endpoint"] == "FIX"
         assert payload[0]["sameas_hosts"] == {"viaf.org": 1}
         check_golden("lod_profile.json", out)
+
+    @pytest.mark.parametrize("epoch", ["99999999999999999999", "abc", "-99999999999999"])
+    def test_unusable_source_date_epoch_sends_no_request(self, fixture_roster, monkeypatch,
+                                                         capsys, epoch):
+        # An overflow, a non-integer and a year before 1, checked before any harvest.
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+        transport = GraphTransport(PEOPLE_GRAPH)
+        assert cli.main(["lod", "--roster", fixture_roster], transport) == cli.EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"input error: SOURCE_DATE_EPOCH {epoch!r} is not a usable")
+        assert err.count("\n") == 1
+        assert transport.queries == []
 
     def test_csv_golden(self, fixture_roster, capsys):
         code, out, _ = run_twice(
@@ -963,6 +987,30 @@ class TestUsage:
 BIG = "1" + "0" * 400  # an integer past float range
 
 
+@contextlib.contextmanager
+def recorded_sleeps():
+    """Clients that a runner builds through ``lod.SparqlClient`` record their
+    sleeps in the yielded list instead of sleeping.
+
+    A client built any other way, such as from a name bound before the patch,
+    raises at its first sleep, so a generated roster's delay (up to
+    ``lod.TIMEOUT_MAX / 2`` per request) fails the test instead of hanging it.
+    """
+    def refuse(seconds: float) -> None:
+        raise AssertionError(f"a client built without the recording sleep slept {seconds} s")
+
+    init = lod.SparqlClient.__init__
+
+    def guarded_init(self, cfg, transport=None, sleep=refuse):
+        init(self, cfg, transport, sleep)
+
+    slept: list[float] = []
+    with mock.patch.object(lod.SparqlClient, "__init__", guarded_init), \
+            mock.patch.object(lod, "SparqlClient",
+                              functools.partial(lod.SparqlClient, sleep=slept.append)):
+        yield slept
+
+
 def run_cli(argv, transport=None) -> tuple[int, str]:
     """``cli.main``'s exit code and stdout; a warning, in any thread, raises."""
     with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()) as out, \
@@ -1113,10 +1161,7 @@ class TestMalformedInput:
         transport = GraphTransport(PEOPLE_GRAPH + [("x", "owl:sameAs", "http://viaf.org/v/1")])
         if COUNT_REWRITES[rewrite] is not None:
             transport = RewrittenCounts(transport, lod.CLASS_COUNT_QUERY, COUNT_REWRITES[rewrite])
-        slept: list[float] = []  # a roster's delay is recorded, not slept
-        with tempfile.TemporaryDirectory() as tmp, \
-                mock.patch.object(lod, "SparqlClient",
-                                  functools.partial(lod.SparqlClient, sleep=slept.append)):
+        with tempfile.TemporaryDirectory() as tmp, recorded_sleeps() as slept:
             path = os.path.join(tmp, "roster.json")
             with open(path, "w", encoding="utf-8") as f:
                 f.write(text)

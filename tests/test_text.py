@@ -197,7 +197,8 @@ class TestLexicalReport:
         assert report.n_types == 1
         assert report.observed_diversity == pytest.approx(1.0)
         assert report.extrapolated_diversity == pytest.approx(1.0, abs=1e-3)
-        assert report.ranking is None  # nothing beyond the training limit
+        assert report.holdout_ranking() is None  # nothing beyond the training limit
+        assert not hasattr(report, "ranking")  # ranked only on request
 
     def test_empty_document_rejected(self):
         for tokens in ((), iter(())):
@@ -220,9 +221,10 @@ class TestLexicalReport:
     def test_any_iterable_of_tokens(self):
         tokens = zipf_corpus(2_000, 80, seed=5)
         checkpoints = every(10)
-        whole = lexical_report(tokens, "z", checkpoints=checkpoints, train_limit=500)
-        streamed = lexical_report(iter(tokens), "z", checkpoints=checkpoints, train_limit=500)
+        whole = lexical_report(tokens, "z", checkpoints=checkpoints)
+        streamed = lexical_report(iter(tokens), "z", checkpoints=checkpoints)
         assert streamed == whole
+        assert streamed.holdout_ranking(500) == whole.holdout_ranking(500)
         assert streamed.n_tokens == whole.n_tokens == 2_000
         assert (streamed.vocabulary_curve, streamed.diversity_curve) == (
             whole.vocabulary_curve, whole.diversity_curve)
@@ -231,7 +233,7 @@ class TestLexicalReport:
         report = lexical_report(zipf_tokens, "zipf", order=1.0)
         true_d = zipf_true_diversity(5000, 1.0)
         assert abs(report.extrapolated_diversity - true_d) / true_d < 0.10
-        assert report.ranking is not None
+        assert report.holdout_ranking() is not None
 
     def test_power_law_self_consistency(self, novel_like_tokens):
         # Fitted C, alpha reproduce the final vocabulary size within 15%.
@@ -255,8 +257,8 @@ class TestLexicalReport:
         # Checkpoints every 10 tokens: 3 training points at 30, 4 at 40, and
         # none past 400 to hold out.
         tokens = zipf_corpus(400, 60, seed=3)
-        report = lexical_report(tokens, "z", checkpoints=every(10), train_limit=train_limit)
-        assert (None if report.ranking is None else len(report.ranking)) == ranked
+        ranking = lexical_report(tokens, "z", checkpoints=every(10)).holdout_ranking(train_limit)
+        assert (None if ranking is None else len(ranking)) == ranked
 
 
 class TestSyntheticZipf:
