@@ -193,47 +193,53 @@ def _run_lexdiv(args, transport) -> None:
             first = stems.setdefault(_curve_stem(path), path)
             if first != path:
                 raise ValueError(f"--curves: {first} and {path} would write the same curve files")
-    reports, rankings = [], []  # the holdout rankings only for --format json
-    for path in args.files:
-        try:
-            with open(path, encoding="utf-8") as f:
-                tokens = tokenize(f.read())
-            reports.append(lexical_report(tokens, path, order, checkpoints))
-            if args.format == "json":
-                rankings.append(reports[-1].holdout_ranking(args.train))
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
+    # A run holds one document at a time: its text, tokens and report are
+    # released before the next file is opened, and only what the output needs
+    # is kept.  With --curves that is every document's two curves, written
+    # once every document has succeeded.
+    rows, n_tokens, extrapolated, curves = zip(*(
+        _lexdiv_document(path, args, order, checkpoints) for path in args.files))
 
     if args.curves:
         os.makedirs(args.curves, exist_ok=True)
-        for report in reports:
-            stem = os.path.join(args.curves, _curve_stem(report.source_id))
-            _write_output(report.vocabulary_curve.to_csv(), f"{stem}.vocab.csv")
-            _write_output(report.diversity_curve.to_csv(), f"{stem}.diversity.csv")
+        for path, (vocabulary, diversity) in zip(args.files, curves):
+            stem = os.path.join(args.curves, _curve_stem(path))
+            _write_output(vocabulary.to_csv(), f"{stem}.vocab.csv")
+            _write_output(diversity.to_csv(), f"{stem}.diversity.csv")
 
     try:  # undefined for fewer than two documents or a constant column
-        pearson = pearson_r([r.n_tokens for r in reports],
-                            [r.extrapolated_diversity for r in reports])
+        pearson = pearson_r(n_tokens, extrapolated)
     except ValueError:
         pearson = None
 
     if args.format == "json":
-        payload = {
-            "documents": [_report_fields(r, ranking) for r, ranking in zip(reports, rankings)],
-            "pearson_R": None if pearson is None else round(pearson, 4),
-        }
+        payload = {"documents": list(rows),
+                   "pearson_R": None if pearson is None else round(pearson, 4)}
         _write_output(_json_text(payload, ", ".join(args.files)), args.output)
     else:
-        lines = [LEXDIV_CSV_HEADER]
-        for r in reports:
-            lines.append(
-                f"{_csv_cell(r.source_id)},{r.n_tokens},{r.n_types},"
-                f"{_fmt4(r.observed_diversity)},{_fmt4(r.extrapolated_diversity)},"
-                f"{_fmt4(r.power_law.params['C'])},{_fmt4(r.power_law.params['alpha'])}"
-            )
         summary = "undefined" if pearson is None else _fmt4(pearson)
-        lines.append(f"# pearson_R,{summary}")
+        lines = [LEXDIV_CSV_HEADER, *rows, f"# pearson_R,{summary}"]
         _write_output("\n".join(lines) + "\n", args.output)
+
+
+def _lexdiv_document(path: str, args, order: float, checkpoints: range) -> tuple:
+    """One document's printed fields (a CSV row, or its JSON fields), its token
+    count and extrapolated D for ``pearson_R``, and its two curves if ``--curves``."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            tokens = tokenize(f.read())
+        r = lexical_report(tokens, path, order, checkpoints)
+        ranking = r.holdout_ranking(args.train) if args.format == "json" else None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    if args.format == "json":
+        fields = _report_fields(r, ranking)
+    else:
+        fields = (f"{_csv_cell(r.source_id)},{r.n_tokens},{r.n_types},"
+                  f"{_fmt4(r.observed_diversity)},{_fmt4(r.extrapolated_diversity)},"
+                  f"{_fmt4(r.power_law.params['C'])},{_fmt4(r.power_law.params['alpha'])}")
+    curves = (r.vocabulary_curve, r.diversity_curve) if args.curves else None
+    return fields, r.n_tokens, r.extrapolated_diversity, curves
 
 
 def _run_fit(args, transport) -> None:

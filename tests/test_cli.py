@@ -15,6 +15,7 @@ import sys
 import tempfile
 import threading
 import time
+import tracemalloc
 import warnings
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -157,6 +158,36 @@ class TestLexdiv:
         assert cli.main(["lexdiv", "a/x.txt", "b/x.txt", "--curves", "out"]) == cli.EXIT_INPUT
         assert capsys.readouterr().err == (
             "input error: --curves: a/x.txt and b/x.txt would write the same curve files\n")
+
+    def test_curves_written_only_once_every_document_succeeds(self, corpus_dir, capsys):
+        (corpus_dir / "empty.txt").write_text("")
+        argv = ["lexdiv", "alpha.txt", "empty.txt", "beta.txt", "--every", "20",
+                "--curves", "curves"]
+        assert cli.main(argv) == cli.EXIT_INPUT
+        assert capsys.readouterr() == ("", "input error: empty.txt: document contains no tokens\n")
+        assert not Path("curves").exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_peak_memory_flat_in_the_number_of_documents(self, tmp_path, monkeypatch, capsys,
+                                                         fmt):
+        # A run holds one document at a time.  Keeping every document's
+        # report, with both curves, read 1.5–1.8 MB for 2 copies and 4.4 MB for 8.
+        monkeypatch.chdir(tmp_path)
+        Path("zipf.txt").write_text(" ".join(zipf_corpus(20_000, 2_000, seed=1)),
+                                    encoding="utf-8")
+
+        def peak(n_documents: int) -> int:
+            argv = ["lexdiv", *["zipf.txt"] * n_documents, "--every", "10", "--format", fmt]
+            tracemalloc.start()
+            try:
+                assert cli.main(argv) == cli.EXIT_OK
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                capsys.readouterr()
+
+        peak(1)  # the imports and caches of a first run
+        assert peak(8) < 1.25 * peak(2)
 
     def test_empty_document_exits_one(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -576,6 +607,12 @@ def watch_stops(monkeypatch) -> dict[str, threading.Event]:
     return stopped
 
 
+def wait_for(event: threading.Event, what: str) -> None:
+    """Waits up to 5 s for ``event``; if it is not set by then, fails naming ``what``."""
+    if not event.wait(timeout=5):
+        raise AssertionError(f"{what} did not happen within 5 s")
+
+
 class TestLod:
     def test_json_golden(self, fixture_roster, capsys):
         transport = GraphTransport(
@@ -904,12 +941,12 @@ class TestLod:
 
         def before(url):
             if url == B_URL:
-                c_asked.wait(timeout=5)
+                wait_for(c_asked, "C's first request")
             elif url == A_URL:
-                stopped[C_URL].wait(timeout=5)
+                wait_for(stopped[C_URL], "stopping C's client")
             elif not c_asked.is_set():
                 c_asked.set()
-                stopped[C_URL].wait(timeout=5)
+                wait_for(stopped[C_URL], "stopping C's client")
 
         transport = ByUrl(before)
         transport.routes[B_URL] = FlakyTransport(transport.routes[B_URL], failures=99)
@@ -929,16 +966,18 @@ class TestLod:
 
         def before(url):
             if url == A_URL:
-                b_asked.wait(timeout=5)
+                wait_for(b_asked, "B's first request")
                 raise KeyboardInterrupt
             if url == B_URL and not b_asked.is_set():
                 b_asked.set()
-                stopped[B_URL].wait(timeout=5)
+                wait_for(stopped[B_URL], "stopping B's client")
 
         transport = ByUrl(before)
         with pytest.raises(KeyboardInterrupt):
             cli.main(["lod", "--roster", three_roster], transport=transport)
         capsys.readouterr()
+        # B's worker fails unseen behind A's interrupt, so its wait is checked here
+        assert stopped[B_URL].is_set(), "B's client was not stopped"
         assert len(transport.routes[B_URL].queries) == 1
 
 
