@@ -4,10 +4,12 @@ A profile counts how often each RDF class and property is used, plus where
 owl:sameAs links point, and condenses each distribution into diversity D,
 richness R and the evenness ratio D/R.  This demo runs against an
 in-memory fixture endpoint, handed to `profile()` as the transport of its
-`SparqlClient`, so it works offline.  A client built from a shipped roster
-entry with no transport, `profile(SparqlClient(cfg))`, performs the same
-harvest over HTTP.  The summary table is what `metadiv lod --format csv`
-prints for the same fixture.  Run with:  python demos/04_lod_profiles.py
+`SparqlClient`, so it works offline.  A client with no transport,
+`profile(SparqlClient(cfg))`, harvests over HTTP, but only from a checked
+SPARQL service URL: each URL of the shipped roster is a site root or a web
+page, so a live harvest needs a roster of checked service URLs.  The summary
+table is what `metadiv lod --format csv` prints for the same fixture.
+Run with:  python demos/04_lod_profiles.py
 """
 
 import json

@@ -196,8 +196,9 @@ class HttpTransport:
 
     Short queries travel as GET parameters, long ones (partitioned VALUES
     batches) as form-encoded POST.  The proxy environment variables are read
-    when the transport is made; gzip answers are accepted.  Each request
-    opens its own connection, and TLS is checked against the system CA store.
+    when the transport is made; gzip answers (``gzip`` or ``x-gzip`` in any
+    case) are accepted.  Each request opens its own connection, and TLS is
+    checked against the system CA store.
     """
 
     def __init__(self) -> None:
@@ -221,7 +222,8 @@ class HttpTransport:
         try:
             with self._opener.open(request, timeout=timeout) as response:
                 status, body = response.status, response.read()
-                if status == 200 and response.headers.get("Content-Encoding") == "gzip":
+                coding = (response.headers.get("Content-Encoding") or "").strip().lower()
+                if status == 200 and coding in ("gzip", "x-gzip"):  # RFC 9110 8.4.1
                     body = zlib.decompress(body, wbits=31)
         except HTTPError as exc:
             exc.close()

@@ -569,8 +569,8 @@ class _SparqlHandler(BaseHTTPRequestHandler):
     graph = GraphTransport(PEOPLE_GRAPH)
     fail_next: list[int] = []
     # How an answer departs from plain JSON: "stall" sends nothing for a
-    # second, "short" half its Content-Length, "not-json" an HTML page and
-    # "gzip" a compressed body.
+    # second, "short" half its Content-Length, "not-json" an HTML page, and
+    # "gzip", "GZIP" or "x-gzip" a compressed body with that Content-Encoding.
     mode = ""
     retyped: tuple = ()  # (variable, JSON value): every cell of that variable holds the value
     seen: list = []  # (command, path, headers) of every request
@@ -601,9 +601,9 @@ class _SparqlHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Type", "application/sparql-results+json")
         if self.mode == "not-json":
             body = b"<html><body>Service busy</body></html>"
-        elif self.mode == "gzip":
+        elif self.mode in ("gzip", "GZIP", "x-gzip"):
             body = gzip.compress(body)
-            self.send_header("Content-Encoding", "gzip")
+            self.send_header("Content-Encoding", self.mode)
         elif self.mode == "short":
             self.send_header("Content-Length", str(len(body)))
             body = body[: len(body) // 2]
@@ -717,11 +717,13 @@ class TestHttpTransport:
         assert err.value.status == 204
 
     def test_gzip_answer_is_decoded(self, loopback_endpoint):
-        _SparqlHandler.mode = "gzip"
-        result = HttpTransport().select(loopback_endpoint, CLASS_COUNT_QUERY, timeout=5.0)
-        assert len(result.rows) == 2
-        [(_, _, headers)] = _SparqlHandler.seen
-        assert "gzip" in headers["Accept-Encoding"]
+        # RFC 9110 8.4.1: content codings are case-insensitive, and x-gzip is gzip.
+        for coding in ("gzip", "GZIP", "x-gzip"):
+            _SparqlHandler.mode, _SparqlHandler.seen = coding, []
+            result = HttpTransport().select(loopback_endpoint, CLASS_COUNT_QUERY, timeout=5.0)
+            assert len(result.rows) == 2, coding
+            [(_, _, headers)] = _SparqlHandler.seen
+            assert "gzip" in headers["Accept-Encoding"]
 
     def test_proxy_variable_read_when_transport_is_made(self, loopback_endpoint, monkeypatch):
         # A first request before the variable is set: an opener shared by

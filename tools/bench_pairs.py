@@ -10,18 +10,15 @@ with its own ``perfbench/``.  Every ``W:SEED:N`` item runs
 ``python3 perfbench/run.py --workload W --seed SEED --seconds S --trace 0``
 N times in each checkout, alternating which side goes first (the parent in
 odd pairs); every ``W:SEED`` of ``--traced`` runs once per side with
-``--trace 1``.  S is ``run_seconds`` of the change's BENCHMARK.json.
+``--trace 1``.  S is ``run_seconds`` of the change's BENCHMARK.json, which
+every item is checked against before the first run.  Each run starts just
+after its checkout is compiled, so no cold start compiles a module on one
+side only; a checkout that does not compile stops the session there.
 ``--parent`` must be a git checkout; its HEAD is recorded as the parent
 commit.  Each run's value is the figure the run prints, its median at
 reference host speed.  The output holds, per workload and seed, every run's
 value, medians, quartiles and the pairs the change won, plus the input
-spec, the environment and the command.  Each run's raw record also notes,
-as found just before the run, ``PYTHONDONTWRITEBYTECODE`` and the
-``src/metadiv`` modules without an up-to-date ``__pycache__`` entry: a cold
-start that compiles them is slower.  So a pair, or a traced item, is refused
-while a module present on both sides would load from ``__pycache__`` on one
-side and be compiled on the other; compiling both checkouts
-(``python3 -m compileall -q src``) evens them.
+spec, the environment and the command.
 
 The output file is rewritten after every run and an existing one is
 extended, so an interrupted session resumes where it stopped and several
@@ -32,9 +29,9 @@ run length is refused.
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -42,6 +39,10 @@ import sys
 RUN_TIMEOUT_S = 1800
 SIDES = ("parent", "change")
 ENV_KEYS = ("python", "numpy", "blas", "blas_threads", "nproc", "cpu_model")
+# -f: compileall's own check skips a module edited within the second it was compiled;
+# timestamp: under SOURCE_DATE_EPOCH it writes checked-hash files, which every import rehashes.
+COMPILE = [sys.executable, "-m", "compileall", "-q", "-f", "--invalidation-mode", "timestamp",
+           "src", "perfbench"]
 
 
 def run_benchmark(checkout: str, workload: str, seed: int, seconds: int,
@@ -60,51 +61,10 @@ def run_benchmark(checkout: str, workload: str, seed: int, seconds: int,
         return json.loads(lines[-1]), json.load(f)
 
 
-def _cache_is_fresh(source: str) -> bool:
-    """Whether the import system would load ``source`` from its ``__pycache__`` entry."""
-    try:
-        with open(importlib.util.cache_from_source(source), "rb") as f:
-            header = f.read(16)
-    except OSError:
-        return False
-    if len(header) < 16 or header[:4] != importlib.util.MAGIC_NUMBER:
-        return False
-    flags = int.from_bytes(header[4:8], "little")
-    if flags & 1:  # hash-based (PEP 552); bit 2 asks for the hash to be checked
-        with open(source, "rb") as f:
-            return not flags & 2 or header[8:16] == importlib.util.source_hash(f.read())
-    st = os.stat(source)
-    return header[8:16] == ((int(st.st_mtime) & 0xFFFFFFFF).to_bytes(4, "little")
-                            + (st.st_size & 0xFFFFFFFF).to_bytes(4, "little"))
-
-
-def bytecode_state(checkout: str) -> dict:
-    """Whether a run may write bytecode, and which metadiv modules it would compile."""
-    package = os.path.join(checkout, "src", "metadiv")
-    return {"PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
-            "stale_modules": sorted(name for name in os.listdir(package) if name.endswith(".py")
-                                    and not _cache_is_fresh(os.path.join(package, name)))}
-
-
-def mixed_bytecode(parent: str, change: str) -> list[str]:
-    """``src/metadiv`` modules on both sides that only one side would compile."""
-    modules, stale = [], []
-    for checkout in (parent, change):
-        package = os.path.join(checkout, "src", "metadiv")
-        modules.append({name for name in os.listdir(package) if name.endswith(".py")})
-        stale.append(set(bytecode_state(checkout)["stale_modules"]))
-    return sorted(modules[0] & modules[1] & (stale[0] ^ stale[1]))
-
-
 def describe(values: list[float]) -> dict:
     q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else (values[0],) * 3
     return {"median": round(statistics.median(values), 6), "q1": round(q1, 6),
             "q3": round(q3, 6), "runs": [round(v, 6) for v in values]}
-
-
-def benchmark_spec(checkout: str) -> dict:
-    with open(os.path.join(checkout, "BENCHMARK.json"), encoding="utf-8") as f:
-        return json.load(f)
 
 
 def summarize(raw: dict, better: dict[str, str]) -> dict:
@@ -154,9 +114,10 @@ def write(path: str, raw: dict, better: dict[str, str]) -> None:
         "claim": raw["claim"],
         "method": f"python3 perfbench/run.py --workload W --seed S --seconds {raw['run_seconds']} "
                   "--trace 0, parent and change each from its own checkout, alternating "
-                  "which runs first (parent first in odd pairs); each run's value is that "
-                  "run's median at reference host speed; medians and quartiles below are "
-                  "over runs; written by tools/bench_pairs.py",
+                  "which runs first (parent first in odd pairs), each compiled by python3 -m "
+                  "compileall -q -f --invalidation-mode timestamp src perfbench just before "
+                  "every run; each run's value is that run's median at reference host speed; "
+                  "medians and quartiles below are over runs; written by tools/bench_pairs.py",
         "workloads": summarize(raw, better),
         "environment": raw["environment"],
         "raw": raw,
@@ -191,9 +152,22 @@ def main(argv=None) -> int:
     parent_commit = git_head(args.parent)
     if parent_commit is None:
         parser.error(f"--parent {args.parent} is not a git checkout")
-    spec = benchmark_spec(args.change)
+    with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as f:
+        spec = json.load(f)
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
     seconds = spec["run_seconds"]
+    names = "|".join(re.escape(w["name"]) for w in spec["workloads"])
+
+    def items(option: str, form: str, pattern: str, texts: list[str]) -> list[tuple]:
+        for text in texts:
+            if not re.fullmatch(pattern, text):
+                parser.error(f"{option} {text}: not {form} with W and METRIC as in BENCHMARK.json")
+        return [re.fullmatch(pattern, text).groups() for text in texts]
+
+    pairs = items("--pairs", "W:SEED:N", f"({names}):([0-9]+):(0*[1-9][0-9]*)", args.pairs)
+    traced = items("--traced", "W:SEED", f"({names}):([0-9]+)", args.traced)
+    claim = items("--claim", "W:METRIC", f"({names}):({'|'.join(map(re.escape, better))})",
+                  [args.claim] if args.claim else [])
     raw = {"note": args.note, "parent_commit": parent_commit, "run_seconds": seconds,
            "claim": None, "environment": None, "input_spec": {}, "pairs": {}, "traced": {}}
     if os.path.exists(args.out):
@@ -203,14 +177,15 @@ def main(argv=None) -> int:
         if recorded != (parent_commit, seconds):
             parser.error(f"{args.out} holds runs of parent {recorded[0]} at {recorded[1]} s, "
                          f"not of {parent_commit} at {seconds} s")
-    if args.claim:
-        workload, metric = args.claim.split(":")
+    for workload, metric in claim:
         raw["claim"] = {"workload": workload, "metric": metric, "better": better[metric]}
     raw["note"] = args.note or raw["note"]
     checkouts = {"parent": args.parent, "change": args.change}
 
     def one(side: str, workload: str, seed: int, trace: int) -> dict:
-        bytecode = bytecode_state(checkouts[side])
+        done = subprocess.run(COMPILE, cwd=checkouts[side], capture_output=True, text=True)
+        if done.returncode:
+            raise SystemExit(f"{checkouts[side]}: compileall failed:\n{done.stdout}{done.stderr}")
         result, details = run_benchmark(checkouts[side], workload, seed, seconds, trace)
         raw["environment"] = raw["environment"] or {k: details["environment"][k] for k in ENV_KEYS}
         raw["input_spec"].setdefault(f"{workload}:{seed}", details["input_spec"])
@@ -218,31 +193,16 @@ def main(argv=None) -> int:
         print(f"{workload} seed {seed} trace {trace} {side}: failed {result['failed']}"
               + ("" if value is None else f", wall_s {value:.4f}"), flush=True)
         return {"metrics": result["metrics"], "attempted": result["attempted"],
-                "failed": result["failed"], "host_speed_median": details["host_speed"]["median"],
-                "bytecode": bytecode}
+                "failed": result["failed"], "host_speed_median": details["host_speed"]["median"]}
 
-    def check_bytecode(item: str) -> None:
-        mixed = mixed_bytecode(args.parent, args.change)
-        if mixed:
-            raise SystemExit(f"{parser.prog}: refusing {item}: {', '.join(mixed)} would load "
-                             "from __pycache__ on one side and be compiled on the other")
-
-    for item in args.pairs:
-        workload, seed, n = item.split(":")
+    for workload, seed, n in pairs:
         runs = raw["pairs"].setdefault(f"{workload}:{seed}", [])
         while len(runs) < int(n):
-            check_bytecode(item)
             order = SIDES if len(runs) % 2 == 0 else SIDES[::-1]  # parent first in odd pairs
-            pair = {}
-            for side in order:
-                pair[side] = one(side, workload, int(seed), 0)
-            runs.append(pair)
+            runs.append({side: one(side, workload, int(seed), 0) for side in order})
             write(args.out, raw, better)
-    for item in args.traced:
-        workload, seed = item.split(":")
+    for workload, seed in traced:
         sides = raw["traced"].setdefault(f"{workload}:{seed}", {})
-        if len(sides) < len(SIDES):
-            check_bytecode(item)
         for side in SIDES:
             if side not in sides:
                 sides[side] = one(side, workload, int(seed), 1)
